@@ -31,7 +31,7 @@ from .ingest import (
     parse_ftrace_line,
     read_stream,
 )
-from .records import STRUCTURAL_EVENTS, Endpoint, EventCatalog, TraceRecord
+from .records import STRUCTURAL_EVENTS, Endpoint, TraceRecord
 from .synth import (
     DiffReport,
     FaultMode,
@@ -59,7 +59,6 @@ __all__ = [
     "EXTERNAL_THREAD",
     "Endpoint",
     "EngineSnapshot",
-    "EventCatalog",
     "FaultMode",
     "GroundTruth",
     "IngestConfig",

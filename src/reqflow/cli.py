@@ -103,10 +103,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     follow_forks = args.follow_forks or bool(config.get("follow_forks", False))
     strict = args.strict or bool(config.get("strict", False))
 
+    try:
+        engine = ReplayEngine(gateway_endpoints=gateways, user_events=user_events)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stats = ParseStats()
-    engine = ReplayEngine(gateway_endpoints=gateways, user_events=user_events)
 
     try:
         with ExitStack() as stack:
@@ -125,7 +129,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 records = filter_records(
                     records,
                     IngestConfig(
-                        backend=backend,
                         pid_allowlist=frozenset(pids),
                         follow_forks=follow_forks,
                     ),

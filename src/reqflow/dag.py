@@ -2,11 +2,12 @@
 
 Every minted trace id becomes one RequestDag. The root is the trace's
 arrival state (the NetworkState whose source_thread is the external
-sentinel). A state is a child of a parent state when the parent's owner
-thread caused it while the parent span was open: network children are
-states the owner's sends propagated (source_thread == owner, start within
-the parent span), fork children are ForkStates the owner created. States of
-the trace that end up unreachable from the root are exported under
+sentinel). Edges are the causes the engine recorded: each state's parents
+are the states of its trace that were active on the sending thread or the
+forking parent when the state was created, and each becomes one edge,
+labelled tcp for a network child and fork for a fork child. The builder
+only groups states into nodes and walks from the root to find which are
+reachable. States of the trace that are not reachable are exported under
 diagnostics.orphans, never attached heuristically and never dropped.
 """
 
@@ -19,7 +20,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .engine import EXTERNAL_THREAD, EngineSnapshot, ForkState, State, Thread
+from .engine import EXTERNAL_THREAD, EngineSnapshot, State, Thread
 
 SCHEMA_VERSION = "1"
 
@@ -158,6 +159,7 @@ def _make_node(thread: Thread, state: State) -> DagNode:
 
 def _build(trace_id: int, items: list[tuple[Thread, State]]) -> RequestDag:
     entries: list[tuple[State, DagNode]] = []
+    node_of: dict[int, DagNode] = {}
     seen_ids: set[str] = set()
     for thread, state in items:
         node = _make_node(thread, state)
@@ -165,6 +167,7 @@ def _build(trace_id: int, items: list[tuple[Thread, State]]) -> RequestDag:
             node.state_id += "+"
         seen_ids.add(node.state_id)
         entries.append((state, node))
+        node_of[id(state)] = node
 
     roots = [
         (state, node)
@@ -176,47 +179,23 @@ def _build(trace_id: int, items: list[tuple[Thread, State]]) -> RequestDag:
     roots.sort(key=lambda e: (e[0].start_ns, e[1].state_id))
     root_state, root_node = roots[0]
 
-    by_net_source: dict[int, list[tuple[State, DagNode]]] = {}
-    by_fork_parent: dict[int, list[tuple[State, DagNode]]] = {}
-    for state, node in entries:
-        if state.kind == "network":
-            by_net_source.setdefault(state.source_thread, []).append((state, node))
-        else:
-            by_fork_parent.setdefault(state.parent_pid, []).append((state, node))
-
-    def children(state: State) -> list[tuple[State, DagNode, str]]:
-        found = []
-        for cand_state, cand_node in by_net_source.get(state.owner_pid, []):
-            if cand_state is state:
-                continue
-            if state.start_ns <= cand_state.start_ns <= state.end_ns:
-                found.append((cand_state, cand_node, CAUSE_TCP))
-        for cand_state, cand_node in by_fork_parent.get(state.owner_pid, []):
-            if state.start_ns <= cand_state.start_ns <= state.end_ns:
-                found.append((cand_state, cand_node, CAUSE_FORK))
-        found.sort(key=lambda c: (c[0].start_ns, c[1].state_id))
-        return found
+    children: dict[int, list[State]] = {}
+    for state, _node in entries:
+        for parent in state.parents:
+            children.setdefault(id(parent), []).append(state)
 
     edges: list[Edge] = []
-    edge_set: set[Edge] = set()
     reachable: set[int] = {id(root_state)}
-    on_path: set[int] = set()
-
-    def visit(state: State, node: DagNode) -> None:
-        on_path.add(id(state))
-        for child_state, child_node, cause in children(state):
-            if id(child_state) in on_path:
-                continue  # never close a cycle
-            edge = (node.state_id, child_node.state_id, cause)
-            if edge not in edge_set:
-                edge_set.add(edge)
-                edges.append(edge)
-            if id(child_state) not in reachable:
-                reachable.add(id(child_state))
-                visit(child_state, child_node)
-        on_path.discard(id(state))
-
-    visit(root_state, root_node)
+    stack = [root_state]
+    while stack:
+        parent = stack.pop()
+        parent_id = node_of[id(parent)].state_id
+        for child in children.get(id(parent), ()):
+            cause = CAUSE_TCP if child.kind == "network" else CAUSE_FORK
+            edges.append((parent_id, node_of[id(child)].state_id, cause))
+            if id(child) not in reachable:
+                reachable.add(id(child))
+                stack.append(child)
 
     nodes = [node for state, node in entries if id(state) in reachable]
     orphans = [node for state, node in entries if id(state) not in reachable]
@@ -274,17 +253,20 @@ def validate_dag(dag: RequestDag) -> None:
     # reachability and cycle check in one pass
     WHITE, GRAY, BLACK = 0, 1, 2
     color = dict.fromkeys(by_id, WHITE)
-
-    def dfs(node_id: str) -> None:
-        color[node_id] = GRAY
-        for nxt in adjacency[node_id]:
+    color[dag.root_id] = GRAY
+    stack = [(dag.root_id, iter(adjacency[dag.root_id]))]
+    while stack:
+        node_id, pending = stack[-1]
+        for nxt in pending:
             if color[nxt] == GRAY:
                 raise DagValidationError(f"cycle through {nxt}")
             if color[nxt] == WHITE:
-                dfs(nxt)
-        color[node_id] = BLACK
-
-    dfs(dag.root_id)
+                color[nxt] = GRAY
+                stack.append((nxt, iter(adjacency[nxt])))
+                break
+        else:
+            color[node_id] = BLACK
+            stack.pop()
     unreachable = [node_id for node_id, c in color.items() if c == WHITE]
     if unreachable:
         raise DagValidationError(f"nodes unreachable from root: {unreachable}")
@@ -305,15 +287,14 @@ def _dfs_rows(dag: RequestDag) -> list[tuple[DagNode, int]]:
         children[node_id].sort(key=lambda c: (by_id[c].start_ns, c))
     rows: list[tuple[DagNode, int]] = []
     rendered: set[str] = set()
-
-    def visit(node_id: str, depth: int) -> None:
+    stack = [(dag.root_id, 0)]
+    while stack:
+        node_id, depth = stack.pop()
+        if node_id in rendered:  # multi-parent nodes render once
+            continue
         rendered.add(node_id)
         rows.append((by_id[node_id], depth))
-        for child in children[node_id]:
-            if child not in rendered:  # multi-parent nodes render once
-                visit(child, depth + 1)
-
-    visit(dag.root_id, 0)
+        stack.extend((child, depth + 1) for child in reversed(children[node_id]))
     return rows
 
 

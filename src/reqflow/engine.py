@@ -21,8 +21,14 @@ events:
 
 A NetworkState spans request arrival to response sent. A ForkState spans the
 child's lifetime. Both accumulate per-event tallies of user-enabled events
-that fire on the owning thread while they are active. Replay is single pass
-and deterministic: identical input streams produce identical pools.
+that fire on the owning thread while they are active.
+
+Causality is recorded, not inferred: a propagated or forked state's parents
+are the states of its trace that were active on the sending thread or the
+forking parent at the moment the state was created. A minted arrival state
+has no parents. The DAG builder turns these into edges as they are. Replay
+is single pass and deterministic: identical input streams produce identical
+pools.
 """
 
 from __future__ import annotations
@@ -38,13 +44,13 @@ from .records import (
     FORK_EVENT,
     RECEIVE_SYSCALLS,
     SEND_SYSCALLS,
+    STRUCTURAL_EVENTS,
     SYSCALL_ENTER_PREFIX,
     SYSCALL_EVENTS,
     SYSCALL_EXIT_PREFIX,
     TCP_RCV_EVENT,
     TCP_SEND_PROBES,
     Endpoint,
-    EventCatalog,
     TraceRecord,
 )
 
@@ -74,7 +80,6 @@ SocketKey = tuple[Endpoint, Endpoint]
 
 @dataclass
 class SocketRecord:
-    key: SocketKey
     sender_thread: int | None = None
     transmission_type: str | None = None
     last_direction: Tcp4Tuple | None = None
@@ -88,11 +93,12 @@ class NetworkState:
     conn: Tcp4Tuple  # oriented requester -> receiver
     trace_id: int
     owner_pid: int
-    source: Endpoint  # requester endpoint; matched against response sends
     start_ns: int
     end_ns: int | None = None
     flags: set[str] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
+    # The sender's active states of this trace when the data arrived.
+    parents: tuple[State, ...] = field(default=(), repr=False, compare=False)
 
     kind: ClassVar[str] = "network"
 
@@ -112,6 +118,8 @@ class ForkState:
     end_ns: int | None = None
     flags: set[str] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
+    # The forking parent's active states of this trace at the fork.
+    parents: tuple[State, ...] = field(default=(), repr=False, compare=False)
 
     kind: ClassVar[str] = "fork"
 
@@ -127,8 +135,6 @@ State = Union[NetworkState, ForkState]
 class Thread:
     pid: int
     comm: str = ""
-    parent: int | None = None
-    alive: bool = True
     in_syscall: str | None = None
     # Keyed store holds active states only; key uniqueness is enforced here.
     # Ended states move to the archive so a key can recur on a kept-alive
@@ -136,9 +142,12 @@ class Thread:
     active_states: dict[tuple, State] = field(default_factory=dict)
     ended_states: list[State] = field(default_factory=list)
 
-    @property
-    def active_traces(self) -> set[int]:
-        return {state.trace_id for state in self.active_states.values()}
+    def active_by_trace(self) -> dict[int, tuple[State, ...]]:
+        """Active states grouped by trace id, in trace id order."""
+        grouped: dict[int, list[State]] = {}
+        for state in self.active_states.values():
+            grouped.setdefault(state.trace_id, []).append(state)
+        return {trace_id: tuple(grouped[trace_id]) for trace_id in sorted(grouped)}
 
 
 @dataclass
@@ -180,9 +189,13 @@ class ReplayEngine:
         self,
         gateway_endpoints: Iterable[Endpoint],
         user_events: Iterable[str] = (),
-        catalog: EventCatalog | None = None,
     ):
-        self.catalog = catalog or EventCatalog(user_events=frozenset(user_events))
+        self.user_events = frozenset(user_events)
+        overlap = self.user_events & STRUCTURAL_EVENTS
+        if overlap:
+            raise ValueError(
+                f"user events shadow structural events: {sorted(overlap)}"
+            )
         self.gateway_endpoints = frozenset(
             Endpoint(ip, port) for ip, port in gateway_endpoints
         )
@@ -216,16 +229,15 @@ class ReplayEngine:
             thread.comm = record.comm
         return thread
 
-    def _spawn_child(self, pid: int, comm: str, parent: int) -> Thread:
+    def _spawn_child(self, pid: int, comm: str) -> Thread:
         existing = self.active.get(pid)
         if existing is not None:
             # Fork naming a pid that is still live: anomalous stream. Reuse
             # the live thread as the child rather than inventing a twin.
             self.counters["fork_existing_pid"] += 1
-            existing.parent = parent
             return existing
         self.terminated.pop(pid, None)  # pid reuse after exit
-        child = Thread(pid=pid, comm=comm, parent=parent)
+        child = Thread(pid=pid, comm=comm)
         self.active[pid] = child
         self._all_threads.append(child)
         return child
@@ -270,7 +282,7 @@ class ReplayEngine:
             self._fork(record)
         elif event == EXIT_EVENT:
             self._exit(record)
-        elif event in self.catalog.user_events:
+        elif event in self.user_events:
             self._user_event(record)
         else:
             self.counters["ignored_events"] += 1
@@ -306,7 +318,7 @@ class ReplayEngine:
         key = conn.normalized()
         sock = self.sockets.get(key)
         if sock is None:
-            sock = SocketRecord(key=key)
+            sock = SocketRecord()
             self.sockets[key] = sock
         sock.sender_thread = thread.pid
         sock.transmission_type = REQUEST
@@ -316,7 +328,7 @@ class ReplayEngine:
         first = None
         extra = 0
         for state in thread.active_states.values():
-            if isinstance(state, NetworkState) and state.source == conn.dst:
+            if isinstance(state, NetworkState) and state.conn.src == conn.dst:
                 if first is None:
                     first = state
                 else:
@@ -351,14 +363,14 @@ class ReplayEngine:
                 self.counters["unknown_sender"] += 1
                 return
             direction = sock.last_direction
-            for trace_id in sorted(sender.active_traces):
+            for trace_id, parents in sender.active_by_trace().items():
                 state = NetworkState(
                     source_thread=sender.pid,
                     conn=direction,
                     trace_id=trace_id,
                     owner_pid=thread.pid,
-                    source=direction.src,
                     start_ns=record.timestamp_ns,
+                    parents=parents,
                 )
                 if not self._add_state(thread, state):
                     self.counters["duplicate_receive"] += 1
@@ -372,12 +384,10 @@ class ReplayEngine:
                 conn=direction,
                 trace_id=trace_id,
                 owner_pid=thread.pid,
-                source=remote,
                 start_ns=record.timestamp_ns,
             )
             self._add_state(thread, state)
             self.sockets[key] = SocketRecord(
-                key=key,
                 sender_thread=EXTERNAL_THREAD,
                 transmission_type=REQUEST,
                 last_direction=direction,
@@ -400,13 +410,14 @@ class ReplayEngine:
             return
         child_pid = int(child_pid_raw)
         child_comm = record.args.get("child_comm", parent.comm)
-        child = self._spawn_child(child_pid, child_comm, parent.pid)
-        for trace_id in sorted(parent.active_traces):
+        child = self._spawn_child(child_pid, child_comm)
+        for trace_id, parents in parent.active_by_trace().items():
             state = ForkState(
                 parent_pid=parent.pid,
                 trace_id=trace_id,
                 owner_pid=child_pid,
                 start_ns=record.timestamp_ns,
+                parents=parents,
             )
             if not self._add_state(child, state):
                 self.counters["duplicate_fork"] += 1
@@ -421,7 +432,6 @@ class ReplayEngine:
             # fork span ending at exit is its normal end.
             flag = FLAG_ENDED_BY_EXIT if isinstance(state, NetworkState) else None
             self._end_state(thread, state, record.timestamp_ns, flag)
-        thread.alive = False
         thread.in_syscall = None
         self.terminated[record.pid] = thread
 

@@ -62,18 +62,19 @@ def _parse_kv(tokens: Iterable[str], line_number: int | None, line: str) -> dict
     args: dict[str, str] = {}
     last = None
     for token in tokens:
-        if "=" in token:
-            key, value = token.split("=", 1)
-            if not key:
-                raise MalformedLineError("empty arg key", line_number, line)
+        key, eq, value = token.partition("=")
+        if key and eq:
             if key in args:
                 raise MalformedLineError(f"duplicate arg key {key!r}", line_number, line)
             args[key] = value
             last = key
         elif last is not None:
-            # A bare token continues the previous value (values may contain
-            # spaces in the ftrace format).
+            # A token without a key continues the previous value: values may
+            # contain spaces in the ftrace format, and sched_switch prints a
+            # bare "==>" after prev_state.
             args[last] += " " + token
+        elif eq:
+            raise MalformedLineError("empty arg key", line_number, line)
         else:
             raise MalformedLineError(f"arg token without '=': {token!r}", line_number, line)
     return args
@@ -202,7 +203,6 @@ def merge_streams(streams: Sequence[Iterable[TraceRecord]]) -> Iterator[TraceRec
 
 @dataclass
 class IngestConfig:
-    backend: str = "ftrace"
     pid_allowlist: frozenset[int] = frozenset()
     follow_forks: bool = False
 

@@ -60,22 +60,3 @@ STRUCTURAL_EVENTS = frozenset(
     SYSCALL_EVENTS | TCP_SEND_PROBES | {TCP_RCV_EVENT, FORK_EVENT, EXIT_EVENT}
 )
 
-
-@dataclass(frozen=True)
-class EventCatalog:
-    """Event names the reconstructor consumes.
-
-    structural_events drive state transitions; user_events are tallied into
-    whichever spans are active on the thread when they fire. The two sets
-    must not overlap.
-    """
-
-    structural_events: frozenset[str] = STRUCTURAL_EVENTS
-    user_events: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        overlap = self.structural_events & self.user_events
-        if overlap:
-            raise ValueError(
-                f"user events shadow structural events: {sorted(overlap)}"
-            )

@@ -119,6 +119,16 @@ def test_missing_gateway_is_a_usage_error(tmp_path, capsys):
     assert "gateway" in capsys.readouterr().err
 
 
+def test_structural_user_event_is_a_usage_error(tmp_path, capsys):
+    logs = _synth(tmp_path)
+    code = _reconstruct(tmp_path, logs, "--user-event", "tcp_rcv_space_adjust")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reqflow: user events shadow structural events")
+    assert "tcp_rcv_space_adjust" in err
+    assert not (tmp_path / "dags").exists()
+
+
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
     code = main(["reconstruct", str(tmp_path / "nope.log"), *GATEWAY_FLAGS,
                  "--out", str(tmp_path / "dags")])

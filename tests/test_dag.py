@@ -37,18 +37,17 @@ def _conn(sport: int, dport: int) -> Tcp4Tuple:
     return Tcp4Tuple(Endpoint("10.0.0.1", sport), Endpoint("10.0.0.2", dport))
 
 
-def _net(owner, source_thread, trace, start, end, sport=50_000, dport=80):
-    conn = _conn(sport, dport)
+def _net(owner, source_thread, trace, start, end, sport=50_000, dport=80, parents=()):
     return NetworkState(
-        source_thread=source_thread, conn=conn, trace_id=trace, owner_pid=owner,
-        source=conn.src, start_ns=start, end_ns=end,
+        source_thread=source_thread, conn=_conn(sport, dport), trace_id=trace,
+        owner_pid=owner, start_ns=start, end_ns=end, parents=parents,
     )
 
 
-def _fork(owner, parent, trace, start, end):
+def _fork(owner, parent, trace, start, end, parents=()):
     return ForkState(
         parent_pid=parent, trace_id=trace, owner_pid=owner,
-        start_ns=start, end_ns=end,
+        start_ns=start, end_ns=end, parents=parents,
     )
 
 
@@ -65,7 +64,7 @@ def _snap(minted, threads) -> EngineSnapshot:
 
 def test_two_hop_chain_builds_expected_edges():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
-    child = _net(2, 1, 1, 150, 300, sport=41_000, dport=9_000)
+    child = _net(2, 1, 1, 150, 300, sport=41_000, dport=9_000, parents=(root,))
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(2, "svc", child)])
     dag = build_dag(1, snapshot)
     validate_dag(dag)
@@ -75,22 +74,26 @@ def test_two_hop_chain_builds_expected_edges():
     assert dag.counters == {"orphan_states": 0, "multi_parent_nodes": 0}
 
 
-def test_state_starting_outside_parent_span_is_orphaned():
+def test_state_without_recorded_parent_is_orphaned():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 200)
-    late = _net(2, 1, 1, 250, 300, sport=41_000, dport=9_000)
-    snapshot = _snap([1], [_thread(1, "gw", root), _thread(2, "svc", late)])
+    late = _net(2, 1, 1, 250, 300, sport=41_000, dport=9_000)  # no parents
+    # its child is unreachable too, and the edge between them is not exported
+    late_child = _fork(3, 2, 1, 260, 290, parents=(late,))
+    snapshot = _snap(
+        [1],
+        [_thread(1, "gw", root), _thread(2, "svc", late), _thread(3, "w", late_child)],
+    )
     dag = build_dag(1, snapshot)
     validate_dag(dag)
     assert len(dag.nodes) == 1
-    assert len(dag.orphans) == 1
-    assert dag.orphans[0].owner_pid == 2
-    assert dag.counters["orphan_states"] == 1
+    assert [node.owner_pid for node in dag.orphans] == [2, 3]
+    assert dag.counters["orphan_states"] == 2
     assert not dag.edges
 
 
 def test_fork_edge_carries_fork_cause():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
-    worker = _fork(42, 1, 1, 150, 350)
+    worker = _fork(42, 1, 1, 150, 350, parents=(root,))
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(42, "worker", worker)])
     dag = build_dag(1, snapshot)
     validate_dag(dag)
@@ -99,13 +102,15 @@ def test_fork_edge_carries_fork_cause():
     assert fork_node.identity == {"parent_thread": 1, "trace_id": 1}
 
 
-def test_node_with_two_containing_parents_gets_both_edges():
+def test_node_with_two_recorded_parents_gets_both_edges():
     # thread 2 holds a fork span and a network span of the same trace; a
-    # downstream request it caused is a child of both
+    # downstream request it caused records both as parents
     root = _net(1, EXTERNAL_THREAD, 1, 100, 500)
-    forked = _fork(2, 1, 1, 150, 450)
-    received = _net(2, 1, 1, 160, 440, sport=41_000, dport=9_000)
-    downstream = _net(3, 2, 1, 200, 300, sport=42_000, dport=9_100)
+    forked = _fork(2, 1, 1, 150, 450, parents=(root,))
+    received = _net(2, 1, 1, 160, 440, sport=41_000, dport=9_000, parents=(root,))
+    downstream = _net(
+        3, 2, 1, 200, 300, sport=42_000, dport=9_100, parents=(forked, received)
+    )
     snapshot = _snap(
         [1],
         [
@@ -120,19 +125,6 @@ def test_node_with_two_containing_parents_gets_both_edges():
     incoming = [edge for edge in dag.edges if edge[1] == leaf_id]
     assert len(incoming) == 2
     assert dag.counters["multi_parent_nodes"] == 1
-
-
-def test_mutual_containment_cannot_close_a_cycle():
-    root = _net(1, EXTERNAL_THREAD, 1, 100, 200)
-    to_two = _net(2, 1, 1, 100, 150, sport=41_000, dport=9_000)
-    back_to_one = _net(1, 2, 1, 100, 200, sport=42_000, dport=9_100)
-    snapshot = _snap(
-        [1], [_thread(1, "a", root, back_to_one), _thread(2, "b", to_two)]
-    )
-    dag = build_dag(1, snapshot)
-    validate_dag(dag)  # raises if a cycle survived
-    assert len(dag.nodes) == 3
-    assert len(dag.edges) >= 2
 
 
 def test_unknown_trace_raises():
@@ -155,10 +147,11 @@ def test_build_all_dags_yields_in_mint_order(demo_run):
 
 
 def test_export_is_canonical_and_input_order_free():
+    root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
     states = [
-        _net(1, EXTERNAL_THREAD, 1, 100, 400),
-        _net(2, 1, 1, 150, 300, sport=41_000, dport=9_000),
-        _fork(42, 1, 1, 160, 380),
+        root,
+        _net(2, 1, 1, 150, 300, sport=41_000, dport=9_000, parents=(root,)),
+        _fork(42, 1, 1, 160, 380, parents=(root,)),
     ]
     threads = [_thread(1, "gw", states[0]), _thread(2, "svc", states[1]),
                _thread(42, "worker", states[2])]
@@ -179,7 +172,7 @@ def test_export_is_canonical_and_input_order_free():
 def test_doc_round_trip_preserves_everything():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
     root.tallies.update({"page_fault_user": 3})
-    worker = _fork(42, 1, 1, 150, 350)
+    worker = _fork(42, 1, 1, 150, 350, parents=(root,))
     worker.flags.add("open_at_end")
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(42, "w", worker)])
     dag = build_dag(1, snapshot)
@@ -189,9 +182,9 @@ def test_doc_round_trip_preserves_everything():
 
 
 def test_identical_states_still_get_distinct_ids():
-    twin_a = _net(2, 1, 1, 150, 300)
-    twin_b = _net(2, 1, 1, 150, 300)
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400, sport=50_001)
+    twin_a = _net(2, 1, 1, 150, 300, parents=(root,))
+    twin_b = _net(2, 1, 1, 150, 300, parents=(root,))
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(2, "svc", twin_a, twin_b)])
     dag = build_dag(1, snapshot)
     ids = [node.state_id for node in dag.nodes]
@@ -241,7 +234,7 @@ def test_validate_rejects_unreachable_and_cycles():
 
 def test_gantt_rows_have_fixed_width_bars():
     root = _net(1, EXTERNAL_THREAD, 1, 1_000, 2_000)
-    child = _net(2, 1, 1, 1_250, 1_500, sport=41_000, dport=9_000)
+    child = _net(2, 1, 1, 1_250, 1_500, sport=41_000, dport=9_000, parents=(root,))
     late = _net(3, 1, 1, 2_500, 3_000, sport=43_000, dport=9_200)  # orphan
     snapshot = _snap(
         [1],
@@ -273,9 +266,11 @@ def test_gantt_rejects_narrow_width():
 
 def test_gantt_indents_children_and_renders_multi_parent_once():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 500)
-    forked = _fork(2, 1, 1, 150, 450)
-    received = _net(2, 1, 1, 160, 440, sport=41_000, dport=9_000)
-    downstream = _net(3, 2, 1, 200, 300, sport=42_000, dport=9_100)
+    forked = _fork(2, 1, 1, 150, 450, parents=(root,))
+    received = _net(2, 1, 1, 160, 440, sport=41_000, dport=9_000, parents=(root,))
+    downstream = _net(
+        3, 2, 1, 200, 300, sport=42_000, dport=9_100, parents=(forked, received)
+    )
     snapshot = _snap(
         [1],
         [

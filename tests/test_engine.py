@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from reqflow.dag import build_all_dags, export_json
+from reqflow.dag import build_all_dags, export_json, render_gantt, validate_dag
 from reqflow.engine import (
     EXTERNAL_THREAD,
     FLAG_ENDED_BY_EXIT,
@@ -19,6 +19,7 @@ SVC_B = Endpoint("10.0.0.2", 9000)
 CLIENT_1 = Endpoint("198.51.100.5", 50001)
 CLIENT_2 = Endpoint("198.51.100.5", 50002)
 A_TO_B = Endpoint("10.0.0.1", 41000)
+A2_TO_B = Endpoint("10.0.0.1", 41001)
 
 
 class Script:
@@ -68,6 +69,13 @@ def test_engine_requires_a_gateway():
         ReplayEngine(gateway_endpoints=())
 
 
+def test_engine_rejects_user_events_shadowing_structural():
+    with pytest.raises(ValueError, match="shadow"):
+        ReplayEngine((GW,), user_events=("page_fault_user", "tcp_rcv_space_adjust"))
+    engine = ReplayEngine((GW,), user_events=("page_fault_user",))
+    assert "page_fault_user" in engine.user_events
+
+
 def test_gateway_arrival_mints_sequential_ids():
     script = Script()
     script.recv(1, "gw", GW, CLIENT_1)
@@ -104,7 +112,7 @@ def test_send_propagates_active_trace_to_receiver():
     assert state.trace_id == 1
     assert state.source_thread == 1
     assert state.start_ns == got
-    assert state.source == A_TO_B
+    assert state.conn.src == A_TO_B
     assert arrive < sent < got
 
 
@@ -226,12 +234,78 @@ def test_fork_copies_each_active_trace_onto_child():
     engine = run(script)
     child = engine.active[42]
     assert child.comm == "worker"
-    assert child.parent == 1
     states = list(child.active_states.values())
     assert sorted(state.trace_id for state in states) == [1, 2]
     assert all(isinstance(state, ForkState) for state in states)
     assert all(state.start_ns == forked for state in states)
     assert all(state.parent_pid == 1 for state in states)
+
+
+def _ids(states) -> list[int]:
+    return [id(state) for state in states]
+
+
+def test_states_record_the_senders_active_states_of_their_trace():
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    script.recv(1, "gw", GW, CLIENT_2)
+    script.send(1, "gw", A_TO_B, SVC_B)
+    script.recv(2, "svc", SVC_B, A_TO_B)
+    script.send(1, "gw", A2_TO_B, SVC_B)
+    script.recv(2, "svc", SVC_B, A2_TO_B)
+    script.at(2, "svc", "sched_process_fork", child_comm="w", child_pid=42)
+    engine = run(script)
+    gw = engine.active[1].active_by_trace()
+    svc = engine.active[2].active_by_trace()
+    child = engine.active[42].active_by_trace()
+    assert list(gw) == list(svc) == list(child) == [1, 2]
+    for trace_id in (1, 2):
+        (arrival,) = gw[trace_id]
+        assert arrival.parents == ()
+        assert len(svc[trace_id]) == 2  # one per connection from gw
+        for state in svc[trace_id]:
+            assert _ids(state.parents) == _ids([arrival])
+        (forked,) = child[trace_id]
+        assert _ids(forked.parents) == _ids(svc[trace_id])
+
+
+def test_fork_tied_with_a_later_receive_records_only_earlier_states():
+    # The receive carries the fork's timestamp but follows it in the stream,
+    # so the second trace-1 state it opens did not exist at the fork.
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    script.send(1, "gw", A_TO_B, SVC_B)
+    script.recv(2, "svc", SVC_B, A_TO_B)
+    script.send(1, "gw", A2_TO_B, SVC_B)
+    forked = script.at(2, "svc", "sched_process_fork", child_comm="w", child_pid=42)
+    script.ts = forked - 20  # recv() puts its probe two ticks on
+    tied = script.recv(2, "svc", SVC_B, A2_TO_B)
+    assert tied == forked
+    engine = run(script)
+    assert len(engine.active[2].active_states) == 2
+    (dag,) = build_all_dags(engine.finalize())
+    validate_dag(dag)
+    child_id = next(node.state_id for node in dag.nodes if node.owner_pid == 42)
+    assert len([edge for edge in dag.edges if edge[1] == child_id]) == 1
+    assert dag.counters["multi_parent_nodes"] == 0
+
+
+def test_deep_fork_chain_builds_validates_and_renders():
+    depth = 2000
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    for pid in range(1, depth + 1):
+        script.at(pid, f"p{pid}", "sched_process_fork",
+                  child_comm=f"p{pid + 1}", child_pid=pid + 1)
+    engine = run(script)
+    (dag,) = build_all_dags(engine.finalize())
+    validate_dag(dag)
+    assert len(dag.nodes) == depth + 1
+    assert dag.counters == {"orphan_states": 0, "multi_parent_nodes": 0}
+    rows = render_gantt(dag, width=40).splitlines()[1:]
+    assert len(rows) == depth + 1
+    assert rows[-1].startswith("  " * depth + "|")
+    assert f"pid={depth + 1} comm=p{depth + 1}" in rows[-1]
 
 
 def test_fork_chain_reaches_grandchild():
@@ -274,7 +348,6 @@ def test_exit_ends_states_and_flags_only_network_spans():
     gone = script.at(42, "c", "sched_process_exit")
     engine = run(script)
     child = engine.terminated[42]
-    assert not child.alive
     assert 42 not in engine.active
     by_kind = {state.kind: state for state in child.ended_states}
     assert by_kind["fork"].end_ns == gone

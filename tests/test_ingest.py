@@ -107,6 +107,21 @@ def test_ftrace_bare_token_continues_previous_value():
     assert record.args == {"comm": "java thread", "pid": "9"}
 
 
+def test_ftrace_sched_switch_arrow_continues_prev_state():
+    record = parse_ftrace_line(
+        "  redis-server-1966384 [003] d..2. 5000012.345678901: sched_switch:"
+        " prev_comm=redis-server prev_pid=1966384 prev_prio=120 prev_state=S"
+        " ==> next_comm=swapper/3 next_pid=0 next_prio=120"
+    )
+    assert record.event == "sched_switch"
+    assert record.pid == 1966384
+    assert record.args == {
+        "prev_comm": "redis-server", "prev_pid": "1966384", "prev_prio": "120",
+        "prev_state": "S ==>", "next_comm": "swapper/3", "next_pid": "0",
+        "next_prio": "120",
+    }
+
+
 @pytest.mark.parametrize(
     "line",
     [

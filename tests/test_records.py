@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 from reqflow.records import (
     EXIT_EVENT,
     FORK_EVENT,
@@ -12,7 +10,6 @@ from reqflow.records import (
     TCP_RCV_EVENT,
     TCP_SEND_PROBES,
     Endpoint,
-    EventCatalog,
     TraceRecord,
 )
 
@@ -34,13 +31,6 @@ def test_structural_event_enumeration():
     assert TCP_SEND_PROBES < STRUCTURAL_EVENTS
     assert FORK_EVENT in STRUCTURAL_EVENTS
     assert EXIT_EVENT in STRUCTURAL_EVENTS
-
-
-def test_catalog_rejects_user_events_shadowing_structural():
-    with pytest.raises(ValueError, match="shadow"):
-        EventCatalog(user_events=frozenset({"page_fault_user", TCP_RCV_EVENT}))
-    catalog = EventCatalog(user_events=frozenset({"page_fault_user"}))
-    assert "page_fault_user" in catalog.user_events
 
 
 def test_trace_record_defaults():
