@@ -9,6 +9,10 @@ labelled tcp for a network child and fork for a fork child. The builder
 only groups states into nodes and walks from the root to find which are
 reachable. States of the trace that are not reachable are exported under
 diagnostics.orphans, never attached heuristically and never dropped.
+
+build_trace builds one trace from its states alone, so a trace the engine
+hands out as complete during replay can be built, written and freed at
+once; build_all_dags builds the traces left in the final snapshot.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .engine import EXTERNAL_THREAD, EngineSnapshot, State, Thread
+from .engine import EXTERNAL_THREAD, EngineSnapshot, State
 
 SCHEMA_VERSION = "1"
 
@@ -142,13 +146,13 @@ def _state_id(kind: str, owner_pid: int, identity: dict, start_ns: int) -> str:
     return f"{kind}:{owner_pid}:{digest}"
 
 
-def _make_node(thread: Thread, state: State) -> DagNode:
+def _make_node(state: State) -> DagNode:
     identity = _identity(state)
     return DagNode(
         state_id=_state_id(state.kind, state.owner_pid, identity, state.start_ns),
         kind=state.kind,
         owner_pid=state.owner_pid,
-        comm=thread.comm,
+        comm=state.comm,
         start_ns=state.start_ns,
         end_ns=state.end_ns,
         flags=sorted(state.flags),
@@ -157,12 +161,13 @@ def _make_node(thread: Thread, state: State) -> DagNode:
     )
 
 
-def _build(trace_id: int, items: list[tuple[Thread, State]]) -> RequestDag:
+def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
+    """Assemble the DAG of one trace from all of its ended states."""
     entries: list[tuple[State, DagNode]] = []
     node_of: dict[int, DagNode] = {}
     seen_ids: set[str] = set()
-    for thread, state in items:
-        node = _make_node(thread, state)
+    for state in states:
+        node = _make_node(state)
         while node.state_id in seen_ids:  # pathological duplicate guard
             node.state_id += "+"
         seen_ids.add(node.state_id)
@@ -219,18 +224,17 @@ def _build(trace_id: int, items: list[tuple[Thread, State]]) -> RequestDag:
 
 
 def build_dag(trace_id: int, snapshot: EngineSnapshot) -> RequestDag:
-    """Assemble the DAG for one minted trace id."""
-    if trace_id not in snapshot.minted_traces:
+    """Assemble the DAG for one minted trace id held in the snapshot."""
+    if trace_id not in snapshot.states_by_trace:
         raise UnknownTraceError(trace_id)
-    items = snapshot.states_by_trace().get(trace_id, [])
-    return _build(trace_id, items)
+    return build_trace(trace_id, snapshot.states_by_trace[trace_id])
 
 
 def build_all_dags(snapshot: EngineSnapshot) -> Iterator[RequestDag]:
-    """Assemble one DAG per minted trace id, in mint order."""
-    grouped = snapshot.states_by_trace()
-    for trace_id in snapshot.minted_traces:
-        yield _build(trace_id, grouped.get(trace_id, []))
+    """Assemble one DAG per trace in the snapshot, in mint order; traces
+    taken during replay are not in it."""
+    for trace_id, states in snapshot.states_by_trace.items():
+        yield build_trace(trace_id, states)
 
 
 def validate_dag(dag: RequestDag) -> None:
@@ -342,28 +346,28 @@ def render_gantt(dag: RequestDag, width: int = 100) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(dags: Iterable[RequestDag]) -> dict:
-    """Per-trace duration/node/tally rows plus min/median/max aggregates."""
-    dag_list = list(dags)
-    if not dag_list:
+def summary_row(dag: RequestDag) -> dict:
+    """One trace's duration, node count and event totals."""
+    everything = dag.nodes + dag.orphans
+    span = max(n.end_ns for n in everything) - min(n.start_ns for n in everything)
+    totals: Counter[str] = Counter()
+    for node in everything:
+        totals.update(node.event_tallies)
+    return {
+        "trace_id": dag.trace_id,
+        "span_ns": span,
+        "nodes": len(dag.nodes),
+        "event_totals": dict(sorted(totals.items())),
+    }
+
+
+def summarize_rows(rows: list[dict]) -> dict:
+    """The given rows plus min/median/max aggregates over them."""
+    if not rows:
         raise ValueError("at least one dag is required")
-    rows = []
     merged: Counter[str] = Counter()
-    for dag in dag_list:
-        everything = dag.nodes + dag.orphans
-        span = max(n.end_ns for n in everything) - min(n.start_ns for n in everything)
-        totals: Counter[str] = Counter()
-        for node in everything:
-            totals.update(node.event_tallies)
-        merged.update(totals)
-        rows.append(
-            {
-                "trace_id": dag.trace_id,
-                "span_ns": span,
-                "nodes": len(dag.nodes),
-                "event_totals": dict(sorted(totals.items())),
-            }
-        )
+    for row in rows:
+        merged.update(row["event_totals"])
     spans = sorted(row["span_ns"] for row in rows)
     aggregate = {
         "traces": len(rows),
@@ -373,6 +377,11 @@ def summarize(dags: Iterable[RequestDag]) -> dict:
         "event_totals": dict(sorted(merged.items())),
     }
     return {"traces": rows, "aggregate": aggregate}
+
+
+def summarize(dags: Iterable[RequestDag]) -> dict:
+    """Per-trace duration/node/tally rows plus min/median/max aggregates."""
+    return summarize_rows([summary_row(dag) for dag in dags])
 
 
 def render_summary(summary: dict) -> str:

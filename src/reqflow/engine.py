@@ -29,6 +29,12 @@ forking parent at the moment the state was created. A minted arrival state
 has no parents. The DAG builder turns these into edges as they are. Replay
 is single pass and deterministic: identical input streams produce identical
 pools.
+
+Ended states are kept per trace. A trace whose last active state ends is
+complete: every new state copies a trace active on some thread, so no later
+record can add to it. take_completed() hands complete traces out during
+replay and forgets them, so a caller that writes each one as it completes
+holds only the traces still in flight.
 """
 
 from __future__ import annotations
@@ -80,7 +86,8 @@ SocketKey = tuple[Endpoint, Endpoint]
 
 @dataclass
 class SocketRecord:
-    sender_thread: int | None = None
+    # The sending Thread, or EXTERNAL_THREAD for an arrival from outside.
+    sender_thread: Thread | int | None = None
     transmission_type: str | None = None
     last_direction: Tcp4Tuple | None = None
 
@@ -95,6 +102,7 @@ class NetworkState:
     owner_pid: int
     start_ns: int
     end_ns: int | None = None
+    comm: str = ""  # the owning thread's name when the state was created
     flags: set[str] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
     # The sender's active states of this trace when the data arrived.
@@ -116,6 +124,7 @@ class ForkState:
     owner_pid: int
     start_ns: int
     end_ns: int | None = None
+    comm: str = ""  # the owning thread's name when the state was created
     flags: set[str] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
     # The forking parent's active states of this trace at the fork.
@@ -137,10 +146,9 @@ class Thread:
     comm: str = ""
     in_syscall: str | None = None
     # Keyed store holds active states only; key uniqueness is enforced here.
-    # Ended states move to the archive so a key can recur on a kept-alive
-    # connection carrying a later request.
+    # Ended states move to the engine's per-trace store, so a key can recur
+    # on a kept-alive connection carrying a later request.
     active_states: dict[tuple, State] = field(default_factory=dict)
-    ended_states: list[State] = field(default_factory=list)
 
     def active_by_trace(self) -> dict[int, tuple[State, ...]]:
         """Active states grouped by trace id, in trace id order."""
@@ -156,21 +164,18 @@ class EngineSnapshot:
 
     threads: list[Thread]
     sockets: dict[SocketKey, SocketRecord]
+    # Every minted id, including traces already taken during replay.
     minted_traces: list[int]
+    # The ended states of each trace not taken, in mint order.
+    states_by_trace: dict[int, list[State]]
     counters: dict[str, int]
     unattributed: Counter[str]
     end_ns: int
 
-    def iter_thread_states(self) -> Iterator[tuple[Thread, State]]:
-        for thread in self.threads:
-            for state in thread.ended_states:
-                yield thread, state
-
-    def states_by_trace(self) -> dict[int, list[tuple[Thread, State]]]:
-        grouped: dict[int, list[tuple[Thread, State]]] = {}
-        for thread, state in self.iter_thread_states():
-            grouped.setdefault(state.trace_id, []).append((thread, state))
-        return grouped
+    def iter_thread_states(self) -> Iterator[State]:
+        """Every ended state the snapshot holds, trace by trace."""
+        for states in self.states_by_trace.values():
+            yield from states
 
 
 def _conn_from_args(args: dict[str, str]) -> Tcp4Tuple | None:
@@ -206,6 +211,11 @@ class ReplayEngine:
         self._all_threads: list[Thread] = []
         self.sockets: dict[SocketKey, SocketRecord] = {}
         self.minted: list[int] = []
+        # Ended states per trace, keyed at mint so the order is mint order;
+        # a taken trace is removed.
+        self.states_by_trace: dict[int, list[State]] = {}
+        self._active_count: Counter[int] = Counter()
+        self.completed: list[int] = []
         self._next_trace_id = 1
         self.counters: Counter[str] = Counter()
         self.unattributed: Counter[str] = Counter()
@@ -242,16 +252,15 @@ class ReplayEngine:
         self._all_threads.append(child)
         return child
 
-    def _find_thread(self, pid: int) -> Thread | None:
-        return self.active.get(pid) or self.terminated.get(pid)
-
     # ------------------------------------------------------------------
     # state lifecycle
 
     def _add_state(self, thread: Thread, state: State) -> bool:
         if state.key in thread.active_states:
             return False
+        state.comm = thread.comm
         thread.active_states[state.key] = state
+        self._active_count[state.trace_id] += 1
         return True
 
     def _end_state(
@@ -261,7 +270,21 @@ class ReplayEngine:
         if flag:
             state.flags.add(flag)
         del thread.active_states[state.key]
-        thread.ended_states.append(state)
+        self.states_by_trace[state.trace_id].append(state)
+        self._active_count[state.trace_id] -= 1
+        if not self._active_count[state.trace_id]:
+            del self._active_count[state.trace_id]
+            self.completed.append(state.trace_id)
+
+    def take_completed(self) -> list[tuple[int, list[State]]]:
+        """Hand out every trace completed since the last call, in completion
+        order, and forget its states."""
+        taken = [
+            (trace_id, self.states_by_trace.pop(trace_id))
+            for trace_id in self.completed
+        ]
+        self.completed.clear()
+        return taken
 
     # ------------------------------------------------------------------
     # event handlers
@@ -320,7 +343,7 @@ class ReplayEngine:
         if sock is None:
             sock = SocketRecord()
             self.sockets[key] = sock
-        sock.sender_thread = thread.pid
+        sock.sender_thread = thread
         sock.transmission_type = REQUEST
         sock.last_direction = conn
         # Sending back to a requester ends that span; first match in state
@@ -353,15 +376,14 @@ class ReplayEngine:
         key = conn.normalized()
         sock = self.sockets.get(key)
         if sock is not None and sock.transmission_type == REQUEST:
-            if sock.sender_thread == EXTERNAL_THREAD:
+            sender = sock.sender_thread
+            if sender == EXTERNAL_THREAD:
                 # The in-flight request on this socket was already minted;
                 # further copies to user space are duplicates.
                 self.counters["duplicate_receive"] += 1
                 return
-            sender = self._find_thread(sock.sender_thread)
-            if sender is None:
-                self.counters["unknown_sender"] += 1
-                return
+            # The sender's states now, not at the send: a trace that has
+            # completed since is never extended.
             direction = sock.last_direction
             for trace_id, parents in sender.active_by_trace().items():
                 state = NetworkState(
@@ -400,6 +422,7 @@ class ReplayEngine:
         trace_id = self._next_trace_id
         self._next_trace_id += 1
         self.minted.append(trace_id)
+        self.states_by_trace[trace_id] = []
         return trace_id
 
     def _fork(self, record: TraceRecord) -> None:
@@ -454,10 +477,12 @@ class ReplayEngine:
             for state in list(thread.active_states.values()):
                 self._end_state(thread, state, end_ns, FLAG_OPEN_AT_END)
         self.finalized = True
+        self.completed.clear()  # the snapshot holds every trace not taken
         return EngineSnapshot(
             threads=list(self._all_threads),
             sockets=dict(self.sockets),
             minted_traces=list(self.minted),
+            states_by_trace=dict(self.states_by_trace),
             counters=dict(self.counters),
             unattributed=Counter(self.unattributed),
             end_ns=end_ns,

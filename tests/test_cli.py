@@ -4,9 +4,16 @@ import json
 import subprocess
 import sys
 
+from contextlib import ExitStack
+
 import pytest
 
+from reqflow import cli
 from reqflow.cli import main
+from reqflow.dag import build_all_dags, export_json, render_gantt, render_summary, summarize
+from reqflow.engine import ReplayEngine
+from reqflow.ingest import merge_streams, read_stream
+from reqflow.records import Endpoint
 
 GATEWAY_FLAGS = ["--gateway", "10.1.0.2:80"]
 USER_EVENT_FLAGS = [
@@ -47,6 +54,29 @@ def test_round_trip_synth_reconstruct_diff(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "clean" in out
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_traces_written_during_replay_match_a_batch_build(tmp_path, capsys, monkeypatch, batch):
+    out = tmp_path / "capture"
+    assert main(["synth", "--demo", "--requests", "100", "--cpus", "2", "--seed", "6",
+                 "--out", str(out)]) == 0
+    logs = sorted(str(p) for p in out.glob("cpu*.log"))
+    monkeypatch.setattr(cli, "WRITE_BATCH", batch)
+    assert _reconstruct(tmp_path, logs, "--gantt") == 0
+    engine = ReplayEngine([Endpoint("10.1.0.2", 80)],
+                          user_events=("page_fault_user", "sched_migrate_task"))
+    with ExitStack() as stack:
+        streams = [read_stream(stack.enter_context(open(log)), "ftrace") for log in logs]
+        engine.consume(merge_streams(streams))
+    dags = list(build_all_dags(engine.finalize()))
+    assert len(dags) == 100
+    written = tmp_path / "dags"
+    for dag in dags:
+        assert (written / f"trace_{dag.trace_id}.json").read_text() == export_json(dag)
+        assert (written / f"trace_{dag.trace_id}.gantt.txt").read_text() == render_gantt(dag)
+    assert (written / "summary.txt").read_text() == render_summary(summarize(dags))
+    capsys.readouterr()
 
 
 def test_diff_fails_on_tampered_dag(tmp_path, capsys):
@@ -164,6 +194,36 @@ def test_unsorted_stream_fails(tmp_path, capsys):
                  "--out", str(tmp_path / "dags")])
     assert code == 1
     assert "not time ordered" in capsys.readouterr().err
+
+
+def test_non_utf8_input_fails_without_traceback(tmp_path, capsys):
+    log = tmp_path / "cpu0.log"
+    log.write_bytes(b"a-1 [000] .... 1.000000000: sys_enter_read: \xff\xfe\n")
+    code = main(["reconstruct", str(log), *GATEWAY_FLAGS,
+                 "--out", str(tmp_path / "dags")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("reqflow: cannot decode input")
+    assert not (tmp_path / "dags" / "diagnostics.json").exists()
+
+
+def test_uncreatable_out_is_a_usage_error_before_input_is_read(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    log = tmp_path / "cpu0.log"
+    log.write_bytes(b"\xff\n")  # reading it would fail with code 1
+    code = main(["reconstruct", str(log), *GATEWAY_FLAGS,
+                 "--out", str(blocker / "dags")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("reqflow: cannot use output directory")
+
+
+def test_failed_trace_write_exits_1_without_diagnostics(tmp_path, capsys):
+    logs = _synth(tmp_path)
+    dags = tmp_path / "dags"
+    (dags / "trace_1.json").mkdir(parents=True)  # the write of trace 1 fails
+    assert _reconstruct(tmp_path, logs) == 1
+    assert capsys.readouterr().err.startswith("reqflow: i/o error")
+    assert not (dags / "diagnostics.json").exists()
 
 
 def test_empty_capture_still_writes_outputs(tmp_path, capsys):

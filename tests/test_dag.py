@@ -28,7 +28,6 @@ from reqflow.engine import (
     ForkState,
     NetworkState,
     Tcp4Tuple,
-    Thread,
 )
 from reqflow.records import Endpoint
 
@@ -51,13 +50,21 @@ def _fork(owner, parent, trace, start, end, parents=()):
     )
 
 
-def _thread(pid, comm, *states) -> Thread:
-    return Thread(pid=pid, comm=comm, ended_states=list(states))
+def _thread(pid, comm, *states) -> list:
+    """The ended states of one thread, named as the engine names them."""
+    for state in states:
+        assert state.owner_pid == pid
+        state.comm = comm
+    return list(states)
 
 
 def _snap(minted, threads) -> EngineSnapshot:
+    grouped = {trace_id: [] for trace_id in minted}
+    for states in threads:
+        for state in states:
+            grouped[state.trace_id].append(state)
     return EngineSnapshot(
-        threads=threads, sockets={}, minted_traces=minted,
+        threads=[], sockets={}, minted_traces=minted, states_by_trace=grouped,
         counters={}, unattributed=Counter(), end_ns=0,
     )
 

@@ -64,6 +64,16 @@ def run(script: Script, user_events=(), gateways=(GW,)) -> ReplayEngine:
     return engine
 
 
+def _ended(store, pid: int) -> list:
+    """The ended states owned by pid in an engine's or snapshot's per-trace store."""
+    return [
+        state
+        for states in store.states_by_trace.values()
+        for state in states
+        if state.owner_pid == pid
+    ]
+
+
 def test_engine_requires_a_gateway():
     with pytest.raises(ValueError, match="gateway"):
         ReplayEngine(gateway_endpoints=())
@@ -123,8 +133,8 @@ def test_response_send_ends_the_span():
     engine = run(script)
     thread = engine.active[1]
     assert not thread.active_states
-    assert len(thread.ended_states) == 1
-    state = thread.ended_states[0]
+    assert len(_ended(engine, 1)) == 1
+    state = _ended(engine, 1)[0]
     assert state.end_ns == done
     assert not state.flags
 
@@ -183,9 +193,9 @@ def test_response_matching_two_spans_ends_first_created():
     engine = run(script)
     thread = engine.active[2]
     assert engine.counters["multi_match_response"] == 1
-    assert len(thread.ended_states) == 1
-    assert thread.ended_states[0].trace_id == 1  # propagation order is sorted
-    assert thread.ended_states[0].end_ns == done
+    assert len(_ended(engine, 2)) == 1
+    assert _ended(engine, 2)[0].trace_id == 1  # propagation order is sorted
+    assert _ended(engine, 2)[0].end_ns == done
     assert [s.trace_id for s in thread.active_states.values()] == [2]
 
 
@@ -349,7 +359,8 @@ def test_exit_ends_states_and_flags_only_network_spans():
     engine = run(script)
     child = engine.terminated[42]
     assert 42 not in engine.active
-    by_kind = {state.kind: state for state in child.ended_states}
+    assert not child.active_states
+    by_kind = {state.kind: state for state in _ended(engine, 42)}
     assert by_kind["fork"].end_ns == gone
     assert by_kind["fork"].flags == set()
     assert by_kind["network"].end_ns == gone
@@ -375,7 +386,10 @@ def test_pid_reuse_after_exit_spawns_fresh_thread():
     generations = [t for t in snapshot.threads if t.pid == 42]
     assert len(generations) == 2
     assert [t.comm for t in generations] == ["c", "c2"]
-    assert len(generations[0].ended_states) == 1  # archive survives reuse
+    # the first generation's state survives reuse next to the second's
+    first, second = _ended(snapshot, 42)
+    assert [first.comm, second.comm] == ["c", "c2"]
+    assert first.end_ns < second.start_ns
 
 
 def test_user_events_tally_into_every_active_span():
@@ -406,7 +420,7 @@ def test_finalize_flags_open_states_and_clamps_end():
     start = script.recv(1, "gw", GW, CLIENT_1)
     engine = run(script)
     snapshot = engine.finalize(end_timestamp=start - 500)
-    state = snapshot.threads[0].ended_states[0]
+    (state,) = _ended(snapshot, 1)
     assert state.flags == {FLAG_OPEN_AT_END}
     assert state.end_ns == start  # never before its own start
 
@@ -418,7 +432,7 @@ def test_finalize_defaults_to_last_seen_timestamp():
     engine = run(script)
     snapshot = engine.finalize()
     assert snapshot.end_ns == last
-    state = snapshot.threads[0].ended_states[0]
+    (state,) = _ended(snapshot, 1)
     assert state.end_ns == last
 
 
@@ -454,7 +468,56 @@ def test_replay_is_deterministic():
 
 def test_snapshot_groups_states_by_trace(demo_run):
     _streams, truth, snapshot, _dags = demo_run
-    grouped = snapshot.states_by_trace()
+    grouped = snapshot.states_by_trace
     assert sorted(grouped) == [t.trace_id for t in truth.traces]
     for trace in truth.traces:
         assert len(grouped[trace.trace_id]) == len(trace.spans)
+
+
+def test_receive_after_sender_pid_reuse_takes_nothing_from_the_new_thread():
+    # pid 7 sends for trace 1 and exits; a fork for trace 2 reuses pid 7
+    # before the service's receive fires, which must not see trace 2
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    script.at(1, "gw", "sched_process_fork", child_comm="w", child_pid=7)
+    script.send(7, "w", A_TO_B, SVC_B)
+    script.at(7, "w", "sched_process_exit")
+    script.recv(1, "gw", GW, CLIENT_2)
+    script.at(1, "gw", "sched_process_fork", child_comm="w", child_pid=7)
+    script.recv(2, "svc", SVC_B, A_TO_B)
+    engine = run(script)
+    assert engine.minted == [1, 2]
+    assert sorted(s.trace_id for s in engine.active[7].active_states.values()) == [1, 2]
+    assert not engine.active[2].active_states
+    assert engine.counters.get("duplicate_receive", 0) == 0
+
+
+def test_node_keeps_the_comm_its_thread_had_when_the_span_began():
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    script.at(1, "gw", "sched_process_fork", child_comm="worker", child_pid=42)
+    script.at(42, "renamed", "sys_enter_read")  # e.g. after an exec
+    engine = run(script)
+    assert engine.active[42].comm == "renamed"
+    (dag,) = build_all_dags(engine.finalize())
+    fork_node = next(node for node in dag.nodes if node.kind == "fork")
+    assert fork_node.comm == "worker"
+
+
+def test_completed_trace_is_taken_once_and_forgotten():
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    script.send(1, "gw", A_TO_B, SVC_B)
+    script.recv(2, "svc", SVC_B, A_TO_B)
+    script.send(2, "svc", SVC_B, A_TO_B)  # the service responds
+    script.recv(1, "gw", GW, CLIENT_2)  # trace 2 arrives, still open
+    script.send(1, "gw", GW, CLIENT_1)  # trace 1 responds: complete
+    engine = run(script)
+    ((trace_id, states),) = engine.take_completed()
+    assert trace_id == 1
+    assert sorted(state.owner_pid for state in states) == [1, 2]
+    assert engine.take_completed() == []
+    snapshot = engine.finalize()
+    assert snapshot.minted_traces == [1, 2]
+    assert list(snapshot.states_by_trace) == [2]
+    assert [dag.trace_id for dag in build_all_dags(snapshot)] == [2]

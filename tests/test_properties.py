@@ -1,4 +1,5 @@
-"""Property test: arbitrary record streams replay and build without a crash.
+"""Property tests: arbitrary record streams replay and build without a crash,
+and taking complete traces during replay changes no output.
 
 Streams run over a few pids and endpoints so that receives, sends, forks,
 exits and pid reuse collide often, and timestamps repeat. Examples are
@@ -10,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reqflow.dag import build_all_dags, validate_dag
+from reqflow.dag import build_all_dags, build_trace, export_json, validate_dag
 from reqflow.engine import ReplayEngine
 from reqflow.records import Endpoint, TraceRecord
 
@@ -61,21 +62,55 @@ STEPS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(STEPS)
-def test_any_stream_replays_into_valid_dags_without_orphans(steps):
-    engine = ReplayEngine([ENDPOINTS[0]], user_events=("page_fault_user",))
+def _records(steps):
     ts = 1_000
     for dt, pid, records in steps:
         ts += dt
         for event, args in records:
-            engine.handle(TraceRecord(
+            yield TraceRecord(
                 timestamp_ns=ts, cpu=0, pid=pid, comm=f"p{pid}", event=event,
                 args=dict(args),
-            ))
+            )
+
+
+def _engine() -> ReplayEngine:
+    return ReplayEngine([ENDPOINTS[0]], user_events=("page_fault_user",))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(STEPS)
+def test_any_stream_replays_into_valid_dags_without_orphans(steps):
+    engine = _engine()
+    engine.consume(_records(steps))
     snapshot = engine.finalize()
     dags = list(build_all_dags(snapshot))
     assert [dag.trace_id for dag in dags] == snapshot.minted_traces
     for dag in dags:
         validate_dag(dag)
         assert not dag.orphans
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(STEPS)
+def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps):
+    batch = _engine()
+    batch.consume(_records(steps))
+    expected = [export_json(dag) for dag in build_all_dags(batch.finalize())]
+
+    engine = _engine()
+    streamed: dict[int, str] = {}
+    for record in _records(steps):
+        engine.handle(record)
+        for trace_id, states in engine.take_completed():
+            assert trace_id not in streamed
+            streamed[trace_id] = export_json(build_trace(trace_id, states))
+        # a taken trace has no state left in the engine, active or ended
+        assert not streamed.keys() & engine.states_by_trace.keys()
+        for thread in engine.active.values():
+            assert not streamed.keys() & thread.active_by_trace().keys()
+    snapshot = engine.finalize()
+    assert not streamed.keys() & snapshot.states_by_trace.keys()
+    for dag in build_all_dags(snapshot):
+        streamed[dag.trace_id] = export_json(dag)
+    assert sorted(streamed) == snapshot.minted_traces
+    assert [streamed[trace_id] for trace_id in sorted(streamed)] == expected
