@@ -9,9 +9,7 @@ harness generates captures with exact ground truth for end-to-end checks.
 from .dag import (
     DagValidationError,
     RequestDag,
-    UnknownTraceError,
     build_all_dags,
-    build_dag,
     export_json,
     render_gantt,
     render_summary,
@@ -33,15 +31,10 @@ from .ingest import (
 )
 from .records import STRUCTURAL_EVENTS, Endpoint, TraceRecord
 from .synth import (
-    DiffReport,
     FaultMode,
-    GroundTruth,
     InvalidTopologyError,
     ServiceSpec,
-    SpanTruth,
     TopologySpec,
-    TraceTruth,
-    compare,
     demo_topology,
     inject_faults,
     load_topology,
@@ -49,6 +42,7 @@ from .synth import (
     simulate,
     write_streams,
 )
+from .truth import DiffReport, GroundTruth, SpanTruth, TraceTruth, compare
 
 __version__ = "0.1.0"
 
@@ -74,10 +68,8 @@ __all__ = [
     "TopologySpec",
     "TraceRecord",
     "TraceTruth",
-    "UnknownTraceError",
     "UnsortedStreamError",
     "build_all_dags",
-    "build_dag",
     "compare",
     "demo_topology",
     "export_json",

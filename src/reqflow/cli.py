@@ -45,9 +45,7 @@ from .ingest import (
 from .records import Endpoint
 from .synth import (
     FaultMode,
-    GroundTruth,
     InvalidTopologyError,
-    compare,
     demo_topology,
     inject_faults,
     load_topology,
@@ -55,6 +53,7 @@ from .synth import (
     simulate,
     write_streams,
 )
+from .truth import GroundTruth, compare
 
 
 # Completed traces are built and written this many at a time. Writing each
@@ -122,6 +121,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # Trace files of an earlier run would pass for this run's.
+        for stale in (*out.glob("trace_*.json"), *out.glob("trace_*.gantt.txt")):
+            if not stale.is_dir():
+                stale.unlink()
         # Written last, so only a run that succeeded leaves one.
         (out / "diagnostics.json").unlink(missing_ok=True)
     except OSError as exc:

@@ -31,9 +31,7 @@ SCHEMA_VERSION = "1"
 CAUSE_TCP = "tcp"
 CAUSE_FORK = "fork"
 
-
-class UnknownTraceError(KeyError):
-    pass
+_TUPLE_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port")
 
 
 class DagValidationError(ValueError):
@@ -123,33 +121,37 @@ class RequestDag:
         )
 
 
-def _identity(state: State) -> dict:
-    if state.kind == "network":
-        return {
-            "source_thread": state.source_thread,
-            "tuple": {
-                "src_ip": state.conn.src.ip,
-                "src_port": state.conn.src.port,
-                "dst_ip": state.conn.dst.ip,
-                "dst_port": state.conn.dst.port,
-            },
-            "trace_id": state.trace_id,
-        }
-    return {"parent_thread": state.parent_pid, "trace_id": state.trace_id}
+def node_identity(trace_id: int, thread: int, conn: tuple | None = None) -> dict:
+    """What tells a node apart besides its kind, owner and start: its trace,
+    and for a network node the sending thread and the requester -> receiver
+    connection (src_ip, src_port, dst_ip, dst_port), for a fork node the
+    forking thread."""
+    if conn is None:
+        return {"parent_thread": thread, "trace_id": trace_id}
+    return {
+        "source_thread": thread,
+        "tuple": dict(zip(_TUPLE_FIELDS, conn)),
+        "trace_id": trace_id,
+    }
 
 
-def _state_id(kind: str, owner_pid: int, identity: dict, start_ns: int) -> str:
-    # start_ns participates so a key recurring on a kept-alive connection
-    # still yields a unique id.
-    material = json.dumps([kind, owner_pid, identity, start_ns], sort_keys=True)
-    digest = hashlib.sha1(material.encode()).hexdigest()[:12]
-    return f"{kind}:{owner_pid}:{digest}"
+def node_key(kind: str, owner_pid: int, identity: dict, start_ns: int) -> str:
+    """A node's canonical text: the state id hashes it, and the truth diff
+    matches nodes on it. start_ns participates so a key recurring on a
+    kept-alive connection still names distinct nodes."""
+    return json.dumps([kind, owner_pid, identity, start_ns], sort_keys=True)
 
 
 def _make_node(state: State) -> DagNode:
-    identity = _identity(state)
+    if state.kind == "network":
+        conn = (*state.conn.src, *state.conn.dst)
+        identity = node_identity(state.trace_id, state.source_thread, conn)
+    else:
+        identity = node_identity(state.trace_id, state.parent_pid)
+    key = node_key(state.kind, state.owner_pid, identity, state.start_ns)
+    digest = hashlib.sha1(key.encode()).hexdigest()[:12]
     return DagNode(
-        state_id=_state_id(state.kind, state.owner_pid, identity, state.start_ns),
+        state_id=f"{state.kind}:{state.owner_pid}:{digest}",
         kind=state.kind,
         owner_pid=state.owner_pid,
         comm=state.comm,
@@ -221,13 +223,6 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
         orphans=orphans,
         counters=counters,
     )
-
-
-def build_dag(trace_id: int, snapshot: EngineSnapshot) -> RequestDag:
-    """Assemble the DAG for one minted trace id held in the snapshot."""
-    if trace_id not in snapshot.states_by_trace:
-        raise UnknownTraceError(trace_id)
-    return build_trace(trace_id, snapshot.states_by_trace[trace_id])
 
 
 def build_all_dags(snapshot: EngineSnapshot) -> Iterator[RequestDag]:

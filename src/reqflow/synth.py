@@ -19,6 +19,7 @@ import math
 import random
 import re
 from collections import Counter
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -36,6 +37,8 @@ from .records import (
     Endpoint,
     TraceRecord,
 )
+from .truth import GroundTruth, SpanTruth, TraceTruth
+from .truth import compare  # noqa: F401  (importable from synth, as the benchmark does)
 
 WORKER_MODELS = ("reuse", "fork_per_request")
 
@@ -113,22 +116,24 @@ class TopologySpec:
     def _check_acyclic(self, by_name: dict[str, ServiceSpec]) -> None:
         WHITE, GRAY, BLACK = 0, 1, 2
         color = dict.fromkeys(by_name, WHITE)
-
-        def walk(name: str, path: list[str]) -> None:
-            color[name] = GRAY
-            path.append(name)
-            for target in by_name[name].calls:
-                if color[target] == GRAY:
+        for start in by_name:
+            if color[start] != WHITE:
+                continue
+            color[start] = GRAY
+            path = [start]  # the gray services, in call order
+            pending = [iter(by_name[start].calls)]
+            while pending:
+                target = next(pending[-1], None)
+                if target is None:
+                    color[path.pop()] = BLACK
+                    pending.pop()
+                elif color[target] == GRAY:
                     cycle = " -> ".join(path[path.index(target):] + [target])
                     raise InvalidTopologyError(f"call graph has a cycle: {cycle}")
-                if color[target] == WHITE:
-                    walk(target, path)
-            path.pop()
-            color[name] = BLACK
-
-        for name in by_name:
-            if color[name] == WHITE:
-                walk(name, [])
+                elif color[target] == WHITE:
+                    color[target] = GRAY
+                    path.append(target)
+                    pending.append(iter(by_name[target].calls))
 
     def to_doc(self) -> dict:
         services = []
@@ -190,99 +195,6 @@ def load_topology(path: str | Path) -> TopologySpec:
 
 
 # ----------------------------------------------------------------------
-# ground truth
-
-@dataclass
-class SpanTruth:
-    kind: str
-    owner_pid: int
-    comm: str
-    trace_id: int
-    start_ns: int
-    end_ns: int
-    parent_index: int | None
-    cause: str | None
-    source_thread: int | None = None  # network spans
-    conn: tuple | None = None  # (src_ip, src_port, dst_ip, dst_port)
-    parent_thread: int | None = None  # fork spans
-    tallies: dict[str, int] = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "kind": self.kind,
-            "owner_pid": self.owner_pid,
-            "comm": self.comm,
-            "trace_id": self.trace_id,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "parent_index": self.parent_index,
-            "cause": self.cause,
-            "tallies": dict(sorted(self.tallies.items())),
-        }
-        if self.kind == "network":
-            doc["source_thread"] = self.source_thread
-            doc["conn"] = list(self.conn)
-        else:
-            doc["parent_thread"] = self.parent_thread
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> SpanTruth:
-        return cls(
-            kind=doc["kind"],
-            owner_pid=doc["owner_pid"],
-            comm=doc["comm"],
-            trace_id=doc["trace_id"],
-            start_ns=doc["start_ns"],
-            end_ns=doc["end_ns"],
-            parent_index=doc["parent_index"],
-            cause=doc["cause"],
-            source_thread=doc.get("source_thread"),
-            conn=tuple(doc["conn"]) if "conn" in doc else None,
-            parent_thread=doc.get("parent_thread"),
-            tallies=dict(doc.get("tallies", {})),
-        )
-
-
-@dataclass
-class TraceTruth:
-    trace_id: int
-    spans: list[SpanTruth]
-
-
-@dataclass
-class GroundTruth:
-    traces: list[TraceTruth]
-    external_arrivals: int
-    fork_edges: list[tuple[int, int]]
-    event_totals: dict[str, int]
-
-    def to_doc(self) -> dict:
-        return {
-            "schema_version": "1",
-            "external_arrivals": self.external_arrivals,
-            "fork_edges": [list(edge) for edge in self.fork_edges],
-            "event_totals": dict(sorted(self.event_totals.items())),
-            "traces": [
-                {"trace_id": t.trace_id, "spans": [s.to_doc() for s in t.spans]}
-                for t in self.traces
-            ],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> GroundTruth:
-        return cls(
-            traces=[
-                TraceTruth(t["trace_id"], [SpanTruth.from_doc(s) for s in t["spans"]])
-                for t in doc["traces"]
-            ],
-            external_arrivals=doc["external_arrivals"],
-            fork_edges=[tuple(edge) for edge in doc["fork_edges"]],
-            event_totals=dict(doc["event_totals"]),
-        )
-
-
-# ----------------------------------------------------------------------
 # simulation
 
 def _poisson(rng: random.Random, mean: float) -> int:
@@ -296,10 +208,6 @@ def _poisson(rng: random.Random, mean: float) -> int:
         if product <= limit:
             return count
         count += 1
-
-
-def _flat(conn: Tcp4Tuple) -> tuple:
-    return (conn.src.ip, conn.src.port, conn.dst.ip, conn.dst.port)
 
 
 def _tuple_args(conn: Tcp4Tuple) -> dict[str, str]:
@@ -320,8 +228,6 @@ class _Simulation:
         self.by_name = {svc.name: svc for svc in topology.services}
         self.records: list[TraceRecord] = []
         self.truth_traces: list[TraceTruth] = []
-        self.fork_edges: list[tuple[int, int]] = []
-        self.event_totals: Counter[str] = Counter()
         self.now = 5_000_000_000
         self._eph_counter = 0
         self._conn_cache: dict[tuple[int, str], Tcp4Tuple] = {}
@@ -384,7 +290,6 @@ class _Simulation:
         for event in sorted(counts):
             for _ in range(counts[event]):
                 self._emit(pid, comm, event)
-                self.event_totals[event] += 1
 
     def _message(self, sender, conn: Tcp4Tuple, receiver) -> tuple[int | None, int | None]:
         """One data transmission. sender/receiver are (pid, comm) or None
@@ -423,6 +328,9 @@ class _Simulation:
         return conn
 
     # -- request walk ------------------------------------------------
+    # _serve and _work are generators: each yields the walk of a sub-call
+    # and is resumed with its result, so _drive follows a call graph of any
+    # depth on an explicit stack instead of Python's.
 
     def run_request(self, trace_id: int) -> None:
         gateway = self.by_name[self.topology.gateway]
@@ -434,20 +342,20 @@ class _Simulation:
         listener = self.pids[gateway.name]
         _, rcv_ts = self._message(None, conn, (listener, gateway.name))
         spans: list[SpanTruth] = []
-        self._serve(
+        _drive(self._serve(
             gateway, conn, rcv_ts, trace_id, spans,
             parent_index=None, source_thread=EXTERNAL_THREAD, cause=None,
             requester=None,
-        )
+        ))
         self.truth_traces.append(TraceTruth(trace_id, spans))
 
     def _serve(self, svc, conn, rcv_ts, trace_id, spans, parent_index,
-               source_thread, cause, requester) -> None:
+               source_thread, cause, requester) -> Generator:
         listener = self.pids[svc.name]
         span = SpanTruth(
             kind="network", owner_pid=listener, comm=svc.name, trace_id=trace_id,
             start_ns=rcv_ts, end_ns=0, parent_index=parent_index, cause=cause,
-            source_thread=source_thread, conn=_flat(conn),
+            source_thread=source_thread, conn=(*conn.src, *conn.dst),
         )
         spans.append(span)
         my_index = len(spans) - 1
@@ -461,7 +369,6 @@ class _Simulation:
                 {"comm": svc.name, "pid": str(listener),
                  "child_comm": svc.name, "child_pid": str(child)},
             )
-            self.fork_edges.append((listener, child))
             fork_span = SpanTruth(
                 kind="fork", owner_pid=child, comm=svc.name, trace_id=trace_id,
                 start_ns=fork_ts, end_ns=0, parent_index=my_index, cause=CAUSE_FORK,
@@ -469,39 +376,40 @@ class _Simulation:
             )
             spans.append(fork_span)
             fork_index = len(spans) - 1
-            fork_span.tallies = self._work(child, svc.name, svc, trace_id, spans, fork_index)
+            fork_span.tallies = yield self._work(
+                child, svc.name, svc, trace_id, spans, fork_index
+            )
             fork_span.end_ns = self._emit(
                 child, svc.name, EXIT_EVENT, {"comm": svc.name, "pid": str(child)}
             )
             self._emit_user(listener, svc.name, plan[1])
             span.tallies = tally
         else:
-            span.tallies = self._work(listener, svc.name, svc, trace_id, spans, my_index)
+            span.tallies = yield self._work(listener, svc.name, svc, trace_id, spans, my_index)
         self._delay(svc)
         response = Tcp4Tuple(src=conn.dst, dst=conn.src)
         send_ts, _ = self._message((listener, svc.name), response, requester)
         span.end_ns = send_ts
 
-    def _work(self, worker, comm, svc, trace_id, spans, parent_index) -> dict[str, int]:
-        """Downstream calls plus user activity on the worker thread."""
+    def _work(self, worker, comm, svc, trace_id, spans, parent_index) -> Generator:
+        """Downstream calls plus user activity on the worker thread; returns
+        the worker's tallies."""
         plan, totals = self._user_plan(len(svc.calls) + 2)
         self._emit_user(worker, comm, plan[0])
         self._delay(svc)
         for position, name in enumerate(svc.calls):
-            self._call(worker, comm, svc.ip, self.by_name[name], trace_id, spans, parent_index)
+            callee = self.by_name[name]
+            conn = self._connection(worker, svc.ip, callee)
+            listener = self.pids[callee.name]
+            _, rcv_ts = self._message((worker, comm), conn, (listener, callee.name))
+            yield self._serve(
+                callee, conn, rcv_ts, trace_id, spans,
+                parent_index=parent_index, source_thread=worker, cause=CAUSE_TCP,
+                requester=(worker, comm),
+            )
             self._emit_user(worker, comm, plan[position + 1])
         self._emit_user(worker, comm, plan[-1])
         return totals
-
-    def _call(self, caller_pid, caller_comm, caller_ip, svc, trace_id, spans, parent_index):
-        conn = self._connection(caller_pid, caller_ip, svc)
-        listener = self.pids[svc.name]
-        _, rcv_ts = self._message((caller_pid, caller_comm), conn, (listener, svc.name))
-        self._serve(
-            svc, conn, rcv_ts, trace_id, spans,
-            parent_index=parent_index, source_thread=caller_pid, cause=CAUSE_TCP,
-            requester=(caller_pid, caller_comm),
-        )
 
     def finish(self) -> tuple[list[list[TraceRecord]], GroundTruth]:
         streams: list[list[TraceRecord]] = [[] for _ in range(self.cpus)]
@@ -510,13 +418,21 @@ class _Simulation:
         for stream in streams:
             for position, record in enumerate(stream):
                 record.seq = position
-        truth = GroundTruth(
-            traces=self.truth_traces,
-            external_arrivals=len(self.truth_traces),
-            fork_edges=list(self.fork_edges),
-            event_totals=dict(sorted(self.event_totals.items())),
-        )
-        return streams, truth
+        return streams, GroundTruth(self.truth_traces)
+
+
+def _drive(walk: Generator) -> None:
+    stack = [walk]
+    result = None
+    while stack:
+        try:
+            call = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(call)
+            result = None
 
 
 def simulate(
@@ -642,212 +558,6 @@ def inject_faults(streams, mode: FaultMode, seed: int):
                 kept.append(record)
         kept_streams.append(kept)
     return kept_streams, manifest
-
-
-# ----------------------------------------------------------------------
-# reconstruction vs ground truth
-
-def _truth_node_key(span: SpanTruth) -> tuple:
-    if span.kind == "network":
-        return (
-            "network", span.owner_pid, span.source_thread,
-            *span.conn, span.trace_id, span.start_ns,
-        )
-    return ("fork", span.owner_pid, span.parent_thread, span.trace_id, span.start_ns)
-
-
-def _doc_node_key(node: dict, trace_id: int) -> tuple:
-    identity = node["identity"]
-    if node["kind"] == "network":
-        conn = identity["tuple"]
-        return (
-            "network", node["owner_pid"], identity["source_thread"],
-            conn["src_ip"], conn["src_port"], conn["dst_ip"], conn["dst_port"],
-            trace_id, node["start_ns"],
-        )
-    return ("fork", node["owner_pid"], identity["parent_thread"], trace_id, node["start_ns"])
-
-
-def _key_str(key: tuple) -> str:
-    if key[0] == "network":
-        _, owner, src_thread, sip, sport, dip, dport, trace, start = key
-        return (
-            f"network trace={trace} owner={owner} src_thread={src_thread}"
-            f" conn={sip}:{sport}->{dip}:{dport} start={start}"
-        )
-    _, owner, parent, trace, start = key
-    return f"fork trace={trace} owner={owner} parent={parent} start={start}"
-
-
-@dataclass
-class TraceDiff:
-    trace_id: int
-    missing_nodes: list[str] = field(default_factory=list)
-    extra_nodes: list[str] = field(default_factory=list)
-    missing_edges: list[str] = field(default_factory=list)
-    extra_edges: list[str] = field(default_factory=list)
-    end_mismatches: list[tuple[str, tuple, tuple]] = field(default_factory=list)
-    tally_mismatches: list[tuple[str, str, int, int]] = field(default_factory=list)
-
-    @property
-    def structure_empty(self) -> bool:
-        return not (
-            self.missing_nodes or self.extra_nodes
-            or self.missing_edges or self.extra_edges or self.end_mismatches
-        )
-
-    @property
-    def empty(self) -> bool:
-        return self.structure_empty and not self.tally_mismatches
-
-
-@dataclass
-class DiffReport:
-    expected_traces: int
-    actual_traces: int
-    missing_traces: list[int]
-    extra_traces: list[int]
-    trace_diffs: list[TraceDiff]
-
-    @property
-    def structure_empty(self) -> bool:
-        return (
-            self.expected_traces == self.actual_traces
-            and not self.missing_traces
-            and not self.extra_traces
-            and all(diff.structure_empty for diff in self.trace_diffs)
-        )
-
-    @property
-    def empty(self) -> bool:
-        return self.structure_empty and all(diff.empty for diff in self.trace_diffs)
-
-    def tally_mismatch_count(self) -> int:
-        return sum(len(diff.tally_mismatches) for diff in self.trace_diffs)
-
-    def render(self, limit: int = 20) -> str:
-        lines = [
-            f"traces: expected {self.expected_traces} actual {self.actual_traces}"
-        ]
-        if self.missing_traces:
-            lines.append(f"missing traces: {self.missing_traces[:limit]}")
-        if self.extra_traces:
-            lines.append(f"extra traces: {self.extra_traces[:limit]}")
-
-        def extend(label: str, entries: list[str]) -> None:
-            for entry in entries[:limit]:
-                lines.append(f"  {label}: {entry}")
-            if len(entries) > limit:
-                lines.append(f"  ... and {len(entries) - limit} more {label} entries")
-
-        for diff in self.trace_diffs:
-            if diff.empty:
-                continue
-            lines.append(f"trace {diff.trace_id}:")
-            extend("missing node", diff.missing_nodes)
-            extend("extra node", diff.extra_nodes)
-            extend("missing edge", diff.missing_edges)
-            extend("extra edge", diff.extra_edges)
-            extend(
-                "end mismatch",
-                [f"{k} expected={e} actual={a}" for k, e, a in diff.end_mismatches],
-            )
-            extend(
-                "tally mismatch",
-                [
-                    f"{k} event={event} expected={e} actual={a}"
-                    for k, event, e, a in diff.tally_mismatches
-                ],
-            )
-        if self.empty:
-            lines.append("clean")
-        elif self.structure_empty:
-            lines.append("structure clean; tallies differ")
-        return "\n".join(lines) + "\n"
-
-
-def _compare_trace(trace_id: int, doc: dict, truth_trace: TraceTruth) -> TraceDiff:
-    diff = TraceDiff(trace_id=trace_id)
-    truth_keys = [_truth_node_key(span) for span in truth_trace.spans]
-    expected_nodes = Counter(truth_keys)
-    actual_nodes = Counter(_doc_node_key(n, trace_id) for n in doc["nodes"])
-    diff.missing_nodes = [_key_str(k) for k in sorted((expected_nodes - actual_nodes))]
-    diff.extra_nodes = [_key_str(k) for k in sorted((actual_nodes - expected_nodes))]
-
-    expected_edges: Counter = Counter()
-    for position, span in enumerate(truth_trace.spans):
-        if span.parent_index is not None:
-            expected_edges[
-                (truth_keys[span.parent_index], truth_keys[position], span.cause)
-            ] += 1
-    id_to_key = {
-        n["state_id"]: _doc_node_key(n, trace_id)
-        for n in doc["nodes"] + doc["diagnostics"]["orphans"]
-    }
-    actual_edges: Counter = Counter()
-    for edge in doc["edges"]:
-        actual_edges[
-            (id_to_key[edge["parent"]], id_to_key[edge["child"]], edge["cause"])
-        ] += 1
-
-    def edge_str(edge: tuple) -> str:
-        parent, child, cause = edge
-        return f"{_key_str(parent)} => {_key_str(child)} cause={cause}"
-
-    diff.missing_edges = [edge_str(e) for e in sorted(expected_edges - actual_edges)]
-    diff.extra_edges = [edge_str(e) for e in sorted(actual_edges - expected_edges)]
-
-    expected_ends: dict[tuple, list[int]] = {}
-    for key, span in zip(truth_keys, truth_trace.spans):
-        expected_ends.setdefault(key, []).append(span.end_ns)
-    actual_ends: dict[tuple, list[int]] = {}
-    for node in doc["nodes"]:
-        actual_ends.setdefault(_doc_node_key(node, trace_id), []).append(node["end_ns"])
-    for key in sorted(set(expected_ends) & set(actual_ends)):
-        expected = tuple(sorted(expected_ends[key]))
-        actual = tuple(sorted(actual_ends[key]))
-        if expected != actual:
-            diff.end_mismatches.append((_key_str(key), expected, actual))
-
-    expected_tallies: dict[tuple, Counter] = {}
-    for key, span in zip(truth_keys, truth_trace.spans):
-        expected_tallies.setdefault(key, Counter()).update(span.tallies)
-    actual_tallies: dict[tuple, Counter] = {}
-    for node in doc["nodes"]:
-        actual_tallies.setdefault(
-            _doc_node_key(node, trace_id), Counter()
-        ).update(node["event_tallies"])
-    for key in sorted(set(expected_tallies) & set(actual_tallies)):
-        expected, actual = expected_tallies[key], actual_tallies[key]
-        for event in sorted(set(expected) | set(actual)):
-            if expected[event] != actual[event]:
-                diff.tally_mismatches.append(
-                    (_key_str(key), event, expected[event], actual[event])
-                )
-    return diff
-
-
-def compare(dag_docs: list[dict], truth: GroundTruth) -> DiffReport:
-    """Diff reconstructed dag documents against the harness ground truth.
-
-    Nodes match on kind, owner, identity, and exact span start; missing and
-    extra traces are reported rather than raised.
-    """
-    truth_by_id = {trace.trace_id: trace for trace in truth.traces}
-    docs_by_id = {doc["trace_id"]: doc for doc in dag_docs}
-    missing = sorted(set(truth_by_id) - set(docs_by_id))
-    extra = sorted(set(docs_by_id) - set(truth_by_id))
-    diffs = [
-        _compare_trace(trace_id, docs_by_id[trace_id], truth_by_id[trace_id])
-        for trace_id in sorted(set(truth_by_id) & set(docs_by_id))
-    ]
-    return DiffReport(
-        expected_traces=len(truth_by_id),
-        actual_traces=len(docs_by_id),
-        missing_traces=missing,
-        extra_traces=extra,
-        trace_diffs=diffs,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -25,13 +25,13 @@ from reqflow.synth import (
     FaultMode,
     ServiceSpec,
     TopologySpec,
-    compare,
     demo_simulation,
     inject_faults,
     random_topology,
     simulate,
     write_streams,
 )
+from reqflow.truth import compare
 
 from conftest import reconstruct
 

@@ -109,6 +109,21 @@ def test_diff_ignore_tallies_masks_only_tally_noise(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rerun_into_the_same_out_removes_the_earlier_runs_traces(tmp_path, capsys):
+    for requests in ("5", "2"):
+        capture = tmp_path / f"capture{requests}"
+        assert main(["synth", "--demo", "--requests", requests, "--cpus", "2",
+                     "--seed", "6", "--out", str(capture)]) == 0
+        logs = sorted(str(p) for p in capture.glob("cpu*.log"))
+        assert _reconstruct(tmp_path, logs, "--gantt") == 0
+    dags = tmp_path / "dags"
+    assert sorted(p.name for p in dags.glob("trace_*")) == [
+        "trace_1.gantt.txt", "trace_1.json", "trace_2.gantt.txt", "trace_2.json",
+    ]
+    assert main(["diff", str(dags), "--truth", str(tmp_path / "capture2/truth.json")]) == 0
+    capsys.readouterr()
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     logs = _synth(tmp_path)
     config = tmp_path / "config.json"

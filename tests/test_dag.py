@@ -13,9 +13,8 @@ from reqflow.dag import (
     DagNode,
     DagValidationError,
     RequestDag,
-    UnknownTraceError,
     build_all_dags,
-    build_dag,
+    build_trace,
     export_json,
     render_gantt,
     render_summary,
@@ -73,7 +72,7 @@ def test_two_hop_chain_builds_expected_edges():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
     child = _net(2, 1, 1, 150, 300, sport=41_000, dport=9_000, parents=(root,))
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(2, "svc", child)])
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     validate_dag(dag)
     assert len(dag.nodes) == 2
     assert dag.nodes[0].state_id == dag.root_id
@@ -90,7 +89,7 @@ def test_state_without_recorded_parent_is_orphaned():
         [1],
         [_thread(1, "gw", root), _thread(2, "svc", late), _thread(3, "w", late_child)],
     )
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     validate_dag(dag)
     assert len(dag.nodes) == 1
     assert [node.owner_pid for node in dag.orphans] == [2, 3]
@@ -102,7 +101,7 @@ def test_fork_edge_carries_fork_cause():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
     worker = _fork(42, 1, 1, 150, 350, parents=(root,))
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(42, "worker", worker)])
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     validate_dag(dag)
     assert [cause for _, _, cause in dag.edges] == [CAUSE_FORK]
     fork_node = next(node for node in dag.nodes if node.kind == "fork")
@@ -126,7 +125,7 @@ def test_node_with_two_recorded_parents_gets_both_edges():
             _thread(3, "leaf", downstream),
         ],
     )
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     validate_dag(dag)
     leaf_id = next(n.state_id for n in dag.nodes if n.owner_pid == 3)
     incoming = [edge for edge in dag.edges if edge[1] == leaf_id]
@@ -134,17 +133,11 @@ def test_node_with_two_recorded_parents_gets_both_edges():
     assert dag.counters["multi_parent_nodes"] == 1
 
 
-def test_unknown_trace_raises():
-    snapshot = _snap([1], [_thread(1, "gw", _net(1, EXTERNAL_THREAD, 1, 1, 2))])
-    with pytest.raises(UnknownTraceError):
-        build_dag(99, snapshot)
-
-
 def test_trace_without_arrival_state_fails():
     lonely = _net(2, 1, 5, 100, 200)
     snapshot = _snap([5], [_thread(2, "svc", lonely)])
     with pytest.raises(DagValidationError, match="no arrival state"):
-        build_dag(5, snapshot)
+        build_trace(5, snapshot.states_by_trace[5])
 
 
 def test_build_all_dags_yields_in_mint_order(demo_run):
@@ -167,7 +160,8 @@ def test_export_is_canonical_and_input_order_free():
     for _ in range(6):
         shuffled = threads[:]
         rng.shuffle(shuffled)
-        exports.add(export_json(build_dag(1, _snap([1], shuffled))))
+        snapshot = _snap([1], shuffled)
+        exports.add(export_json(build_trace(1, snapshot.states_by_trace[1])))
     assert len(exports) == 1
     text = exports.pop()
     assert text.endswith("\n")
@@ -182,7 +176,7 @@ def test_doc_round_trip_preserves_everything():
     worker = _fork(42, 1, 1, 150, 350, parents=(root,))
     worker.flags.add("open_at_end")
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(42, "w", worker)])
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     clone = RequestDag.from_doc(json.loads(export_json(dag)))
     assert export_json(clone) == export_json(dag)
     assert clone.node_by_id().keys() == dag.node_by_id().keys()
@@ -193,7 +187,7 @@ def test_identical_states_still_get_distinct_ids():
     twin_a = _net(2, 1, 1, 150, 300, parents=(root,))
     twin_b = _net(2, 1, 1, 150, 300, parents=(root,))
     snapshot = _snap([1], [_thread(1, "gw", root), _thread(2, "svc", twin_a, twin_b)])
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     ids = [node.state_id for node in dag.nodes]
     assert len(ids) == len(set(ids)) == 3
 
@@ -247,7 +241,7 @@ def test_gantt_rows_have_fixed_width_bars():
         [1],
         [_thread(1, "gw", root), _thread(2, "svc", child), _thread(3, "x", late)],
     )
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     text = render_gantt(dag, width=60)
     lines = text.splitlines()
     assert lines[0].startswith("trace 1  window 1000..3000 ns")
@@ -286,7 +280,7 @@ def test_gantt_indents_children_and_renders_multi_parent_once():
             _thread(3, "leaf", downstream),
         ],
     )
-    dag = build_dag(1, snapshot)
+    dag = build_trace(1, snapshot.states_by_trace[1])
     text = render_gantt(dag, width=40)
     assert text.count("pid=3") == 1  # two parents, drawn once
     rows = [line for line in text.splitlines() if "pid=" in line]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,9 @@ from reqflow.ingest import parse_bpftrace_line, parse_ftrace_line
 from reqflow.records import STRUCTURAL_EVENTS
 from reqflow.synth import (
     FaultMode,
-    GroundTruth,
     InvalidTopologyError,
     ServiceSpec,
     TopologySpec,
-    compare,
     demo_topology,
     emit_bpftrace_line,
     emit_ftrace_line,
@@ -23,6 +22,7 @@ from reqflow.synth import (
     simulate,
     write_streams,
 )
+from reqflow.truth import GroundTruth, compare
 
 from conftest import reconstruct
 
@@ -192,6 +192,34 @@ def test_ground_truth_doc_round_trip():
     assert clone == truth
 
 
+def test_demo_truth_doc_matches_golden_bytes(demo_run):
+    _streams, truth, _snapshot, _dags = demo_run
+    text = json.dumps(truth.to_doc(), sort_keys=True, indent=2) + "\n"
+    assert text == (Path(__file__).parent / "golden" / "demo_truth.json").read_text()
+
+
+def _chain(length: int, closing_call: tuple[str, ...] = ()) -> TopologySpec:
+    services = [
+        ServiceSpec(name=f"s{i}", ip=f"10.9.{i // 250}.{i % 250 + 1}", port=7000 + i,
+                    calls=(f"s{i + 1}",) if i + 1 < length else closing_call)
+        for i in range(length)
+    ]
+    return _topology(*services, gateway="s0", user_event_rates={"page_fault_user": 0.5})
+
+
+def test_deep_call_chain_simulates_reconstructs_and_diffs_clean():
+    topology = _chain(1500)
+    streams, truth = simulate(topology, 2, 2, seed=4)
+    assert [len(trace.spans) for trace in truth.traces] == [1500, 1500]
+    _snapshot, dags = reconstruct(streams, topology)
+    assert compare([dag.to_doc() for dag in dags], truth).empty
+
+
+def test_cycle_at_the_end_of_a_deep_chain_is_reported():
+    with pytest.raises(InvalidTopologyError, match=r"cycle: s1 -> s2 -> .* -> s1499 -> s1$"):
+        _chain(1500, closing_call=("s1",)).validate()
+
+
 def test_simulate_rejects_bad_arguments():
     topology = _topology(_svc("a", 80))
     with pytest.raises(ValueError, match="cpus"):
@@ -357,7 +385,7 @@ def test_compare_reports_tally_mismatch_as_non_structural():
     report = compare(docs, truth)
     assert report.structure_empty
     assert not report.empty
-    assert report.tally_mismatch_count() == 1
+    assert len(report.trace_diffs[0].tally_mismatches) == 1
     label, event, expected, actual = report.trace_diffs[0].tally_mismatches[0]
     assert event == "page_fault_user"
     assert actual == expected + 3
