@@ -22,7 +22,6 @@ from pathlib import Path
 from .dag import (
     DagValidationError,
     RequestDag,
-    build_all_dags,
     build_trace,
     export_json,
     render_gantt,
@@ -30,6 +29,7 @@ from .dag import (
     summarize,
     summarize_rows,
     summary_row,
+    validate_dag,
 )
 from .engine import ReplayEngine
 from .ingest import (
@@ -42,7 +42,7 @@ from .ingest import (
     merge_streams,
     read_stream,
 )
-from .records import Endpoint
+from .records import Endpoint, ascii_decimal
 from .synth import (
     FaultMode,
     InvalidTopologyError,
@@ -56,18 +56,13 @@ from .synth import (
 from .truth import GroundTruth, compare
 
 
-# Completed traces are built and written this many at a time. Writing each
-# one as it completes interleaves file system calls with replay, which ran
-# 10-15% slower on a 1,500-trace capture (2-vCPU VM, CPython 3.11); batches
-# of 64 recovered most of that and hold little memory.
-WRITE_BATCH = 64
-
-
-def _endpoint(text: str) -> Endpoint:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+def _endpoint(text: object) -> Endpoint:
+    """An ip:port string from the command line or a config file."""
+    host, _, port = text.rpartition(":") if isinstance(text, str) else ("", "", "")
+    number = ascii_decimal(port)
+    if not host or number is None:
         raise argparse.ArgumentTypeError(f"expected ip:port, got {text!r}")
-    return Endpoint(host, int(port))
+    return Endpoint(host, number)
 
 
 def _fail(message: str, code: int) -> int:
@@ -159,24 +154,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                         follow_forks=follow_forks,
                     ),
                 )
-            # Traces are written during replay as their last span ends, so
-            # memory holds the requests in flight and at most one batch of
-            # completed ones. The snapshot keeps the last partial batch.
-            for record in records:
-                engine.handle(record)
-                if len(engine.completed) >= WRITE_BATCH:
-                    for trace_id, states in engine.take_completed():
-                        write(build_trace(trace_id, states))
-        snapshot = engine.finalize()
-        for dag in build_all_dags(snapshot):
-            write(dag)
+            # Each trace is written once its last span ends, so memory holds
+            # the requests in flight and at most one batch of completed ones.
+            for trace_id, states in engine.replay(records):
+                write(build_trace(trace_id, states))
         rows.sort(key=lambda row: row["trace_id"])  # mint order
         summary = render_summary(summarize_rows(rows)) if rows else "traces 0\n"
         (out / "summary.txt").write_text(summary)
         diagnostics = {
-            "minted_traces": snapshot.minted_traces,
-            "counters": dict(sorted(snapshot.counters.items())),
-            "unattributed": dict(sorted(snapshot.unattributed.items())),
+            "minted_traces": engine.minted,
+            "counters": dict(sorted(engine.counters.items())),
+            "unattributed": dict(sorted(engine.unattributed.items())),
             "parse": {
                 "parsed": stats.parsed,
                 "skipped": stats.skipped,
@@ -255,6 +243,18 @@ def _collect_dag_paths(arguments: list[str]) -> list[Path]:
     return paths
 
 
+# What reading, decoding and checking a dag document can raise; a
+# DagValidationError is a ValueError.
+_BAD_DAG = (OSError, ValueError, KeyError, TypeError)
+
+
+def _load_dag(path: Path) -> RequestDag:
+    """A dag document, held to the shape reconstruct writes."""
+    dag = RequestDag.from_doc(json.loads(path.read_text()))
+    validate_dag(dag)
+    return dag
+
+
 def cmd_diff(args: argparse.Namespace) -> int:
     try:
         truth = GroundTruth.from_doc(json.loads(Path(args.truth).read_text()))
@@ -263,8 +263,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     docs = []
     for path in _collect_dag_paths(args.dags):
         try:
-            docs.append(json.loads(path.read_text()))
-        except (OSError, ValueError) as exc:
+            docs.append(_load_dag(path).to_doc())
+        except _BAD_DAG as exc:
             return _fail(f"bad dag document {path}: {exc}", 1)
     report = compare(docs, truth)
     sys.stdout.write(report.render())
@@ -281,8 +281,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     dags = []
     for name in args.dags:
         try:
-            dags.append(RequestDag.from_doc(json.loads(Path(name).read_text())))
-        except (OSError, KeyError, ValueError) as exc:
+            dags.append(_load_dag(Path(name)))
+        except _BAD_DAG as exc:
             return _fail(f"bad dag document {name}: {exc}", 1)
     if args.summary:
         sys.stdout.write(render_summary(summarize(dags)))

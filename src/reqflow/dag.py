@@ -10,9 +10,8 @@ only groups states into nodes and walks from the root to find which are
 reachable. States of the trace that are not reachable are exported under
 diagnostics.orphans, never attached heuristically and never dropped.
 
-build_trace builds one trace from its states alone, so a trace the engine
-hands out as complete during replay can be built, written and freed at
-once; build_all_dags builds the traces left in the final snapshot.
+build_trace builds one trace from its states alone, so each trace
+ReplayEngine.replay() yields can be built, written and freed at once.
 """
 
 from __future__ import annotations
@@ -32,6 +31,10 @@ CAUSE_TCP = "tcp"
 CAUSE_FORK = "fork"
 
 _TUPLE_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port")
+
+# Gantt rows indent two columns per level up to this depth. Deeper rows keep
+# this indent and print their depth, so a chart grows linearly with depth.
+GANTT_MAX_INDENT = 32
 
 
 class DagValidationError(ValueError):
@@ -227,7 +230,7 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
 
 def build_all_dags(snapshot: EngineSnapshot) -> Iterator[RequestDag]:
     """Assemble one DAG per trace in the snapshot, in mint order; traces
-    taken during replay are not in it."""
+    replay() already yielded are not in it."""
     for trace_id, states in snapshot.states_by_trace.items():
         yield build_trace(trace_id, states)
 
@@ -317,8 +320,9 @@ def _node_label(node: DagNode) -> str:
 
 
 def render_gantt(dag: RequestDag, width: int = 100) -> str:
-    """One row per node in DFS order, indented by depth; bar position and
-    length are proportional to the span within the trace window."""
+    """One row per node in DFS order, indented by depth (a row deeper than
+    GANTT_MAX_INDENT prints its depth instead); bar position and length are
+    proportional to the span within the trace window."""
     if width < 40:
         raise ValueError("width must be at least 40 columns")
     everything = dag.nodes + dag.orphans
@@ -332,7 +336,12 @@ def render_gantt(dag: RequestDag, width: int = 100) -> str:
     ]
     for node, depth in _dfs_rows(dag):
         bar = _bar(node.start_ns, node.end_ns, window, width)
-        lines.append("  " * depth + f"|{bar}| {_node_label(node)}")
+        if depth <= GANTT_MAX_INDENT:
+            lines.append("  " * depth + f"|{bar}| {_node_label(node)}")
+        else:
+            lines.append(
+                "  " * GANTT_MAX_INDENT + f"|{bar}| depth={depth} {_node_label(node)}"
+            )
     if dag.orphans:
         lines.append("orphans:")
         for node in dag.orphans:

@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .records import FORK_EVENT, TraceRecord
+from .records import FORK_EVENT, TraceRecord, ascii_decimal
 
 BACKENDS = ("ftrace", "bpftrace")
 
@@ -227,8 +227,8 @@ def filter_records(
             and record.event == FORK_EVENT
             and record.pid in allowed
         ):
-            child = record.args.get("child_pid", "")
-            if child.isdigit():
-                allowed.add(int(child))
+            child = ascii_decimal(record.args.get("child_pid"))
+            if child is not None:
+                allowed.add(child)
         if record.pid in allowed:
             yield record

@@ -32,6 +32,14 @@ class TraceRecord:
     seq: int = 0
 
 
+def ascii_decimal(text: object) -> int | None:
+    """The value of a string of ASCII digits, None for anything else.
+    str.isdigit() alone also accepts digits such as '²' that int() rejects."""
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        return int(text)
+    return None
+
+
 # Syscalls whose enter/exit tracepoints bracket TCP activity.
 SEND_SYSCALLS = frozenset(("sendto", "sendmsg", "write", "writev"))
 RECEIVE_SYSCALLS = frozenset(("recvfrom", "recvmsg", "read", "readv"))

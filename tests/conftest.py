@@ -2,35 +2,34 @@ from __future__ import annotations
 
 import pytest
 
-from reqflow import (
-    Endpoint,
-    ReplayEngine,
-    build_all_dags,
-    merge_streams,
-    validate_dag,
-)
+from reqflow.dag import build_trace, validate_dag
+from reqflow.engine import ReplayEngine
+from reqflow.ingest import merge_streams
+from reqflow.records import Endpoint
 from reqflow.synth import TopologySpec
 
 
 def reconstruct(streams, topology: TopologySpec, validate: bool = True):
     """Replay synthetic streams with the engine configured from the topology.
 
-    Returns (snapshot, dags). This is the reference path the round-trip
-    tests exercise; it mirrors what the command line front end does.
+    Returns (engine, dags), the dags in mint order. This is the path the
+    command line front end takes: ReplayEngine.replay() and build_trace.
     """
     gateway = next(s for s in topology.services if s.name == topology.gateway)
     engine = ReplayEngine(
         gateway_endpoints=[Endpoint(gateway.ip, gateway.port)],
         user_events=sorted(topology.user_event_rates),
     )
-    for record in merge_streams([iter(stream) for stream in streams]):
-        engine.handle(record)
-    snapshot = engine.finalize()
-    dags = list(build_all_dags(snapshot))
+    records = merge_streams([iter(stream) for stream in streams])
+    built = {
+        trace_id: build_trace(trace_id, states)
+        for trace_id, states in engine.replay(records)
+    }
+    dags = [built[trace_id] for trace_id in sorted(built)]
     if validate:
         for dag in dags:
             validate_dag(dag)
-    return snapshot, dags
+    return engine, dags
 
 
 @pytest.fixture(scope="session")
@@ -39,5 +38,5 @@ def demo_run():
     from reqflow.synth import demo_simulation, demo_topology
 
     streams, truth = demo_simulation()
-    snapshot, dags = reconstruct(streams, demo_topology())
-    return streams, truth, snapshot, dags
+    engine, dags = reconstruct(streams, demo_topology())
+    return streams, truth, engine, dags

@@ -53,7 +53,7 @@ def random_runs():
         requests = rng.randint(1, 50)
         cpus = rng.randint(1, 4)
         streams, truth = simulate(topology, requests, cpus, seed=seed)
-        snapshot, dags = reconstruct(streams, topology)
+        engine, dags = reconstruct(streams, topology)
         report = compare([dag.to_doc() for dag in dags], truth)
         reconstructed_tallies: Counter[str] = Counter()
         for dag in dags:
@@ -64,11 +64,11 @@ def random_runs():
                 "seed": seed,
                 "requests": requests,
                 "empty": report.empty,
-                "minted": list(snapshot.minted_traces),
+                "minted": list(engine.minted),
                 "external_arrivals": truth.external_arrivals,
                 "event_totals": dict(truth.event_totals),
                 "reconstructed_tallies": dict(reconstructed_tallies),
-                "unattributed": dict(snapshot.unattributed),
+                "unattributed": dict(engine.unattributed),
             }
         )
     elapsed = time.monotonic() - started
@@ -87,7 +87,7 @@ def test_criterion_02_demo_fixture_shape_and_golden_bytes():
     streams, truth = demo_simulation()
     from reqflow.synth import demo_topology
 
-    snapshot, dags = reconstruct(streams, demo_topology())
+    _engine, dags = reconstruct(streams, demo_topology())
     assert len(dags) == 1
     dag = dags[0]
     by_id = {node.state_id: node for node in dag.nodes}
@@ -171,7 +171,7 @@ def test_criterion_06_damaged_captures_degrade_gracefully():
         faulted, manifest = inject_faults(
             streams, FaultMode.drop_user_events(0.05), seed=99
         )
-        _snapshot, dags = reconstruct(faulted, topology)
+        _engine, dags = reconstruct(faulted, topology)
         report = compare([dag.to_doc() for dag in dags], truth)
         assert report.structure_empty, (
             f"seed {seed}: structure changed after dropping user events"
@@ -188,8 +188,8 @@ def test_criterion_06_damaged_captures_degrade_gracefully():
         last = max(r.timestamp_ns for s in streams for r in s)
         cut = (5_000_000_000 + last) // 2
         faulted, _m2 = inject_faults(faulted, FaultMode.truncate(cut), seed=8)
-        snapshot, dags = reconstruct(faulted, topology)  # validates every dag
-        assert len(dags) == len(snapshot.minted_traces)
+        engine, dags = reconstruct(faulted, topology)  # validates every dag
+        assert len(dags) == len(engine.minted)
     _line(6, "fault injection degrades tallies or diagnostics, never validity")
 
 

@@ -8,7 +8,7 @@ from contextlib import ExitStack
 
 import pytest
 
-from reqflow import cli
+from reqflow import engine as engine_module
 from reqflow.cli import main
 from reqflow.dag import build_all_dags, export_json, render_gantt, render_summary, summarize
 from reqflow.engine import ReplayEngine
@@ -62,13 +62,14 @@ def test_traces_written_during_replay_match_a_batch_build(tmp_path, capsys, monk
     assert main(["synth", "--demo", "--requests", "100", "--cpus", "2", "--seed", "6",
                  "--out", str(out)]) == 0
     logs = sorted(str(p) for p in out.glob("cpu*.log"))
-    monkeypatch.setattr(cli, "WRITE_BATCH", batch)
+    monkeypatch.setattr(engine_module, "WRITE_BATCH", batch)
     assert _reconstruct(tmp_path, logs, "--gantt") == 0
     engine = ReplayEngine([Endpoint("10.1.0.2", 80)],
                           user_events=("page_fault_user", "sched_migrate_task"))
     with ExitStack() as stack:
         streams = [read_stream(stack.enter_context(open(log)), "ftrace") for log in logs]
-        engine.consume(merge_streams(streams))
+        for record in merge_streams(streams):
+            engine.handle(record)
     dags = list(build_all_dags(engine.finalize()))
     assert len(dags) == 100
     written = tmp_path / "dags"
@@ -190,6 +191,16 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gateway", ["10.1.0.2:²", 80])
+def test_config_gateway_without_a_decimal_port_is_a_usage_error(tmp_path, capsys, gateway):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gateways": [gateway]}))
+    code = main(["reconstruct", "whatever.log", "--config", str(config),
+                 "--out", str(tmp_path / "dags")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("reqflow: expected ip:port")
+
+
 def test_strict_mode_fails_on_malformed_line(tmp_path, capsys):
     log = tmp_path / "cpu0.log"
     log.write_text("garbage\n")
@@ -303,6 +314,49 @@ def test_render_rejects_broken_document(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["render", str(bad)]) == 1
     assert "bad dag document" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def demo_trace(tmp_path_factory) -> tuple[dict, str]:
+    """A reconstructed demo trace document and the path of its truth."""
+    tmp_path = tmp_path_factory.mktemp("demo_trace")
+    assert _reconstruct(tmp_path, _synth(tmp_path)) == 0
+    doc = json.loads((tmp_path / "dags" / "trace_1.json").read_text())
+    assert doc["edges"]
+    return doc, str(tmp_path / "capture" / "truth.json")
+
+
+def _unknown_edge_parent(doc):
+    doc["edges"][0]["parent"] = "deadbeef0000"
+    return doc
+
+
+def _node_without_identity(doc):
+    del doc["nodes"][0]["identity"]
+    return doc
+
+
+BAD_DAG_DOCS = {
+    "unknown_edge_parent": _unknown_edge_parent,
+    "node_without_identity": _node_without_identity,
+    "nodes_not_a_list": lambda doc: {**doc, "nodes": "x"},
+    "top_level_list": lambda doc: [1, 2],
+}
+
+
+@pytest.mark.parametrize("command", ["diff", "render"])
+@pytest.mark.parametrize("damage", sorted(BAD_DAG_DOCS))
+def test_inconsistent_dag_document_fails_without_traceback(
+    tmp_path, capsys, demo_trace, damage, command,
+):
+    doc, truth = demo_trace
+    bad = tmp_path / "trace_1.json"
+    bad.write_text(json.dumps(BAD_DAG_DOCS[damage](json.loads(json.dumps(doc)))))
+    extra = ["--truth", truth] if command == "diff" else []
+    assert main([command, str(bad), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"reqflow: bad dag document {bad}: ")
+    assert captured.out == ""
 
 
 def test_argparse_usage_errors_exit_2(tmp_path):

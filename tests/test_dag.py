@@ -64,7 +64,7 @@ def _snap(minted, threads) -> EngineSnapshot:
             grouped[state.trace_id].append(state)
     return EngineSnapshot(
         threads=[], sockets={}, minted_traces=minted, states_by_trace=grouped,
-        counters={}, unattributed=Counter(), end_ns=0,
+        counters={}, unattributed=Counter(),
     )
 
 
@@ -141,9 +141,11 @@ def test_trace_without_arrival_state_fails():
 
 
 def test_build_all_dags_yields_in_mint_order(demo_run):
-    _streams, truth, snapshot, dags = demo_run
-    assert [dag.trace_id for dag in dags] == snapshot.minted_traces
-    assert [trace.trace_id for trace in truth.traces] == snapshot.minted_traces
+    _streams, truth, engine, _dags = demo_run
+    arrivals = [[_net(1, EXTERNAL_THREAD, trace, 100, 400)] for trace in (3, 1, 2)]
+    snapshot = _snap([1, 2, 3], arrivals)
+    assert [dag.trace_id for dag in build_all_dags(snapshot)] == [1, 2, 3]
+    assert [trace.trace_id for trace in truth.traces] == engine.minted
 
 
 def test_export_is_canonical_and_input_order_free():

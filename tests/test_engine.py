@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from reqflow.dag import build_all_dags, export_json, render_gantt, validate_dag
+from reqflow import engine as engine_module
+from reqflow.dag import (
+    GANTT_MAX_INDENT,
+    RequestDag,
+    build_trace,
+    export_json,
+    render_gantt,
+    validate_dag,
+)
 from reqflow.engine import (
     EXTERNAL_THREAD,
     FLAG_ENDED_BY_EXIT,
@@ -12,6 +20,7 @@ from reqflow.engine import (
     ReplayEngine,
     Tcp4Tuple,
 )
+from reqflow.ingest import merge_streams
 from reqflow.records import Endpoint, TraceRecord
 
 GW = Endpoint("10.0.0.1", 80)
@@ -59,9 +68,24 @@ class Script:
 
 
 def run(script: Script, user_events=(), gateways=(GW,)) -> ReplayEngine:
+    """The engine after handling every record, not yet finalized."""
     engine = ReplayEngine(gateway_endpoints=gateways, user_events=user_events)
-    engine.consume(script.records)
+    for record in script.records:
+        engine.handle(record)
     return engine
+
+
+def replayed(script: Script, user_events=()) -> dict[int, RequestDag]:
+    """The validated DAG of every trace replay() yields, by trace id; each
+    minted trace must be yielded exactly once."""
+    engine = ReplayEngine(gateway_endpoints=(GW,), user_events=user_events)
+    dags: dict[int, RequestDag] = {}
+    for trace_id, states in engine.replay(script.records):
+        assert trace_id not in dags
+        dags[trace_id] = build_trace(trace_id, states)
+        validate_dag(dags[trace_id])
+    assert sorted(dags) == engine.minted
+    return dags
 
 
 def _ended(store, pid: int) -> list:
@@ -293,8 +317,7 @@ def test_fork_tied_with_a_later_receive_records_only_earlier_states():
     assert tied == forked
     engine = run(script)
     assert len(engine.active[2].active_states) == 2
-    (dag,) = build_all_dags(engine.finalize())
-    validate_dag(dag)
+    (dag,) = replayed(script).values()
     child_id = next(node.state_id for node in dag.nodes if node.owner_pid == 42)
     assert len([edge for edge in dag.edges if edge[1] == child_id]) == 1
     assert dag.counters["multi_parent_nodes"] == 0
@@ -307,15 +330,21 @@ def test_deep_fork_chain_builds_validates_and_renders():
     for pid in range(1, depth + 1):
         script.at(pid, f"p{pid}", "sched_process_fork",
                   child_comm=f"p{pid + 1}", child_pid=pid + 1)
-    engine = run(script)
-    (dag,) = build_all_dags(engine.finalize())
-    validate_dag(dag)
+    (dag,) = replayed(script).values()
     assert len(dag.nodes) == depth + 1
     assert dag.counters == {"orphan_states": 0, "multi_parent_nodes": 0}
-    rows = render_gantt(dag, width=40).splitlines()[1:]
+    text = render_gantt(dag, width=40)
+    rows = text.splitlines()[1:]
     assert len(rows) == depth + 1
-    assert rows[-1].startswith("  " * depth + "|")
-    assert f"pid={depth + 1} comm=p{depth + 1}" in rows[-1]
+    indent = "  " * GANTT_MAX_INDENT
+    assert rows[GANTT_MAX_INDENT].startswith(indent + "|")
+    assert rows[GANTT_MAX_INDENT + 1].startswith(indent + "|")
+    assert f"| depth={GANTT_MAX_INDENT + 1} pid=" in rows[GANTT_MAX_INDENT + 1]
+    assert rows[-1].startswith(indent + "|")
+    assert f"| depth={depth} pid={depth + 1} comm=p{depth + 1}" in rows[-1]
+    # linear in depth: no row is longer than the capped indent, the bar and
+    # a label of this chain's size
+    assert len(text) < (depth + 2) * (2 * GANTT_MAX_INDENT + 42 + 60)
 
 
 def test_fork_chain_reaches_grandchild():
@@ -334,8 +363,9 @@ def test_fork_without_usable_child_pid_is_counted():
     script = Script()
     script.at(1, "gw", "sched_process_fork", child_comm="x")
     script.at(1, "gw", "sched_process_fork", child_comm="x", child_pid="oops")
+    script.at(1, "gw", "sched_process_fork", child_comm="x", child_pid="²")  # isdigit(), not int()
     engine = run(script)
-    assert engine.counters["bad_fork_args"] == 2
+    assert engine.counters["bad_fork_args"] == 3
 
 
 def test_fork_naming_live_pid_and_repeated_fork_are_counted():
@@ -382,14 +412,32 @@ def test_pid_reuse_after_exit_spawns_fresh_thread():
     script.at(42, "c", "sched_process_exit")
     script.at(1, "gw", "sched_process_fork", child_comm="c2", child_pid=42)
     engine = run(script)
-    snapshot = engine.finalize()
-    generations = [t for t in snapshot.threads if t.pid == 42]
-    assert len(generations) == 2
-    assert [t.comm for t in generations] == ["c", "c2"]
+    assert engine.active[42].comm == "c2"
+    assert 42 not in engine.terminated
     # the first generation's state survives reuse next to the second's
-    first, second = _ended(snapshot, 42)
+    (dag,) = replayed(script).values()
+    first, second = [node for node in dag.nodes if node.owner_pid == 42]
     assert [first.comm, second.comm] == ["c", "c2"]
     assert first.end_ns < second.start_ns
+
+
+def test_trace_minted_on_a_retired_pid_is_handed_out_when_a_fork_reuses_it():
+    # Late records let retired pid 7 receive, and so mint trace 2, after its
+    # exit; the fork that reuses pid 7 must end that state so the trace
+    # completes and replay() hands it out.
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    script.at(1, "gw", "sched_process_fork", child_comm="w", child_pid=7)
+    script.at(7, "w", "sched_process_exit")
+    script.recv(7, "w", GW, CLIENT_2)
+    reused = script.at(1, "gw", "sched_process_fork", child_comm="w2", child_pid=7)
+    script.send(1, "gw", GW, CLIENT_1)
+    dags = replayed(script)
+    assert sorted(dags) == [1, 2]
+    (late,) = dags[2].nodes
+    assert (late.owner_pid, late.comm) == (7, "w")
+    assert late.end_ns == reused
+    assert late.flags == [FLAG_ENDED_BY_EXIT]
 
 
 def test_user_events_tally_into_every_active_span():
@@ -429,11 +477,10 @@ def test_finalize_defaults_to_last_seen_timestamp():
     script = Script()
     script.recv(1, "gw", GW, CLIENT_1)
     last = script.at(9, "other", "sys_enter_read")
-    engine = run(script)
-    snapshot = engine.finalize()
-    assert snapshot.end_ns == last
-    (state,) = _ended(snapshot, 1)
-    assert state.end_ns == last
+    (dag,) = replayed(script).values()
+    (node,) = dag.nodes
+    assert node.end_ns == last
+    assert node.flags == [FLAG_OPEN_AT_END]
 
 
 def test_engine_rejects_use_after_finalize():
@@ -459,16 +506,18 @@ def test_replay_is_deterministic():
         script.recv(42, "c", A_TO_B, SVC_B)
         script.at(42, "c", "sched_process_exit")
         script.send(1, "gw", GW, CLIENT_1)
-        engine = run(script, user_events=("page_fault_user",))
-        snapshot = engine.finalize()
-        return "".join(export_json(dag) for dag in build_all_dags(snapshot))
+        dags = replayed(script, user_events=("page_fault_user",))
+        return "".join(export_json(dags[trace_id]) for trace_id in sorted(dags))
 
     assert build() == build()
 
 
 def test_snapshot_groups_states_by_trace(demo_run):
-    _streams, truth, snapshot, _dags = demo_run
-    grouped = snapshot.states_by_trace
+    streams, truth, replayed_engine, _dags = demo_run
+    engine = ReplayEngine(replayed_engine.gateway_endpoints, replayed_engine.user_events)
+    for record in merge_streams([iter(stream) for stream in streams]):
+        engine.handle(record)
+    grouped = engine.finalize().states_by_trace
     assert sorted(grouped) == [t.trace_id for t in truth.traces]
     for trace in truth.traces:
         assert len(grouped[trace.trace_id]) == len(trace.spans)
@@ -499,12 +548,13 @@ def test_node_keeps_the_comm_its_thread_had_when_the_span_began():
     script.at(42, "renamed", "sys_enter_read")  # e.g. after an exec
     engine = run(script)
     assert engine.active[42].comm == "renamed"
-    (dag,) = build_all_dags(engine.finalize())
+    (dag,) = replayed(script).values()
     fork_node = next(node for node in dag.nodes if node.kind == "fork")
     assert fork_node.comm == "worker"
 
 
-def test_completed_trace_is_taken_once_and_forgotten():
+def test_completed_trace_is_taken_once_and_forgotten(monkeypatch):
+    monkeypatch.setattr(engine_module, "WRITE_BATCH", 1)
     script = Script()
     script.recv(1, "gw", GW, CLIENT_1)
     script.send(1, "gw", A_TO_B, SVC_B)
@@ -512,12 +562,13 @@ def test_completed_trace_is_taken_once_and_forgotten():
     script.send(2, "svc", SVC_B, A_TO_B)  # the service responds
     script.recv(1, "gw", GW, CLIENT_2)  # trace 2 arrives, still open
     script.send(1, "gw", GW, CLIENT_1)  # trace 1 responds: complete
-    engine = run(script)
-    ((trace_id, states),) = engine.take_completed()
-    assert trace_id == 1
-    assert sorted(state.owner_pid for state in states) == [1, 2]
-    assert engine.take_completed() == []
-    snapshot = engine.finalize()
-    assert snapshot.minted_traces == [1, 2]
-    assert list(snapshot.states_by_trace) == [2]
-    assert [dag.trace_id for dag in build_all_dags(snapshot)] == [2]
+    engine = ReplayEngine((GW,))
+    handed = []
+    for trace_id, states in engine.replay(script.records):
+        assert trace_id not in engine.states_by_trace  # forgotten once yielded
+        owners = sorted(state.owner_pid for state in states)
+        handed.append((trace_id, engine.finalized, owners))
+    # trace 1 during replay, trace 2 only once finalize() closes it
+    assert handed == [(1, False, [1, 2]), (2, True, [1])]
+    assert engine.minted == [1, 2]
+    assert engine.states_by_trace == {}

@@ -305,3 +305,13 @@ def test_filter_without_follow_forks_does_not_extend():
     ]
     config = IngestConfig(pid_allowlist=frozenset({10}))
     assert [r.pid for r in filter_records(iter(records), config)] == [10]
+
+
+def test_filter_does_not_follow_a_fork_without_a_decimal_child_pid():
+    records = [
+        _rec(1, 10, event="sched_process_fork", child_pid="²"),  # isdigit(), not int()
+        _rec(2, 10, event="sched_process_fork"),
+        _rec(3, 2),
+    ]
+    config = IngestConfig(pid_allowlist=frozenset({10}), follow_forks=True)
+    assert [r.pid for r in filter_records(iter(records), config)] == [10, 10]

@@ -1,5 +1,5 @@
 """Property tests: arbitrary record streams replay and build without a crash,
-and taking complete traces during replay changes no output.
+and handing complete traces out during replay changes no output.
 
 Streams run over a few pids and endpoints so that receives, sends, forks,
 exits and pid reuse collide often, and timestamps repeat. Examples are
@@ -8,9 +8,11 @@ derandomized so that the suite is deterministic.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reqflow import engine as engine_module
 from reqflow.dag import build_all_dags, build_trace, export_json, validate_dag
 from reqflow.engine import ReplayEngine
 from reqflow.records import Endpoint, TraceRecord
@@ -81,36 +83,34 @@ def _engine() -> ReplayEngine:
 @given(STEPS)
 def test_any_stream_replays_into_valid_dags_without_orphans(steps):
     engine = _engine()
-    engine.consume(_records(steps))
-    snapshot = engine.finalize()
-    dags = list(build_all_dags(snapshot))
-    assert [dag.trace_id for dag in dags] == snapshot.minted_traces
-    for dag in dags:
+    handed = []
+    for trace_id, states in engine.replay(_records(steps)):
+        handed.append(trace_id)
+        dag = build_trace(trace_id, states)
         validate_dag(dag)
         assert not dag.orphans
+    assert sorted(handed) == engine.minted
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(STEPS)
 def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps):
+    # The reference builds every trace at once from the final snapshot.
     batch = _engine()
-    batch.consume(_records(steps))
+    for record in _records(steps):
+        batch.handle(record)
     expected = [export_json(dag) for dag in build_all_dags(batch.finalize())]
 
     engine = _engine()
     streamed: dict[int, str] = {}
-    for record in _records(steps):
-        engine.handle(record)
-        for trace_id, states in engine.take_completed():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "WRITE_BATCH", 1)
+        for trace_id, states in engine.replay(_records(steps)):
             assert trace_id not in streamed
             streamed[trace_id] = export_json(build_trace(trace_id, states))
-        # a taken trace has no state left in the engine, active or ended
-        assert not streamed.keys() & engine.states_by_trace.keys()
-        for thread in engine.active.values():
-            assert not streamed.keys() & thread.active_by_trace().keys()
-    snapshot = engine.finalize()
-    assert not streamed.keys() & snapshot.states_by_trace.keys()
-    for dag in build_all_dags(snapshot):
-        streamed[dag.trace_id] = export_json(dag)
-    assert sorted(streamed) == snapshot.minted_traces
+            # a yielded trace has no state left in the engine, active or ended
+            assert not streamed.keys() & engine.states_by_trace.keys()
+            for thread in (*engine.active.values(), *engine.terminated.values()):
+                assert not streamed.keys() & thread.active_by_trace().keys()
+    assert sorted(streamed) == batch.minted == engine.minted
     assert [streamed[trace_id] for trace_id in sorted(streamed)] == expected

@@ -193,7 +193,7 @@ def test_ground_truth_doc_round_trip():
 
 
 def test_demo_truth_doc_matches_golden_bytes(demo_run):
-    _streams, truth, _snapshot, _dags = demo_run
+    _streams, truth, _engine, _dags = demo_run
     text = json.dumps(truth.to_doc(), sort_keys=True, indent=2) + "\n"
     assert text == (Path(__file__).parent / "golden" / "demo_truth.json").read_text()
 
@@ -211,7 +211,7 @@ def test_deep_call_chain_simulates_reconstructs_and_diffs_clean():
     topology = _chain(1500)
     streams, truth = simulate(topology, 2, 2, seed=4)
     assert [len(trace.spans) for trace in truth.traces] == [1500, 1500]
-    _snapshot, dags = reconstruct(streams, topology)
+    _engine, dags = reconstruct(streams, topology)
     assert compare([dag.to_doc() for dag in dags], truth).empty
 
 
@@ -231,17 +231,17 @@ def test_simulate_rejects_bad_arguments():
 def test_duplicate_receives_still_reconstruct_cleanly():
     topology = random_topology(9)
     streams, truth = simulate(topology, 8, 2, seed=9, duplicate_receives=True)
-    snapshot, dags = reconstruct(streams, topology)
+    engine, dags = reconstruct(streams, topology)
     report = compare([dag.to_doc() for dag in dags], truth)
     assert report.empty
-    assert snapshot.counters["duplicate_receive"] > 0
+    assert engine.counters["duplicate_receive"] > 0
 
 
 # ----------------------------------------------------------------------
 # emitters
 
 def test_demo_streams_round_trip_through_both_parsers(demo_run):
-    streams, _truth, _snapshot, _dags = demo_run
+    streams, _truth, _engine, _dags = demo_run
     for stream in streams:
         for record in stream:
             for emit, parse in (
@@ -321,7 +321,7 @@ def test_fault_mode_validation():
 def _clean_run():
     topology = demo_topology()
     streams, truth = simulate(topology, 2, 2, seed=21)
-    _snapshot, dags = reconstruct(streams, topology)
+    _engine, dags = reconstruct(streams, topology)
     return [dag.to_doc() for dag in dags], truth
 
 
