@@ -34,7 +34,6 @@ from .dag import (
 from .engine import ReplayEngine
 from .ingest import (
     BACKENDS,
-    IngestConfig,
     MalformedLineError,
     ParseStats,
     UnsortedStreamError,
@@ -77,10 +76,30 @@ def _write_json(path: Path, doc) -> None:
 # ----------------------------------------------------------------------
 # reconstruct
 
+# The type each config key's flag takes, and for a list its items' type.
+# _endpoint checks each gateway.
+_CONFIG_TYPES = {
+    "backend": (str, None),
+    "gateways": (list, None),
+    "user_events": (list, str),
+    "pids": (list, int),
+    "follow_forks": (bool, None),
+    "strict": (bool, None),
+}
+
+
 def _load_config(path: str) -> dict:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("config must be a json object")
+    for key, (kind, item) in _CONFIG_TYPES.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        # type(), not isinstance(): a bool is not an int
+        if type(value) is not kind or (item and any(type(v) is not item for v in value)):
+            of = f" of {item.__name__}" if item else ""
+            raise ValueError(f"{key} must be a {kind.__name__}{of}, got {value!r}")
     return doc
 
 
@@ -105,8 +124,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         return _fail("at least one --gateway ip:port is required", 2)
     user_events = tuple(args.user_event or config.get("user_events", ()))
     pids = tuple(args.pid or config.get("pids", ()))
-    follow_forks = args.follow_forks or bool(config.get("follow_forks", False))
-    strict = args.strict or bool(config.get("strict", False))
+    follow_forks = args.follow_forks or config.get("follow_forks", False)
+    strict = args.strict or config.get("strict", False)
 
     try:
         engine = ReplayEngine(gateway_endpoints=gateways, user_events=user_events)
@@ -146,14 +165,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 for handle in handles
             ]
             records = merge_streams(streams)
-            if pids or follow_forks:
-                records = filter_records(
-                    records,
-                    IngestConfig(
-                        pid_allowlist=frozenset(pids),
-                        follow_forks=follow_forks,
-                    ),
-                )
+            if pids:
+                records = filter_records(records, pids, follow_forks)
             # Each trace is written once its last span ends, so memory holds
             # the requests in flight and at most one batch of completed ones.
             for trace_id, states in engine.replay(records):

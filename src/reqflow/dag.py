@@ -1,7 +1,7 @@
 """Per-request DAG assembly, canonical JSON export, and text rendering.
 
 Every minted trace id becomes one RequestDag. The root is the trace's
-arrival state (the NetworkState whose source_thread is the external
+arrival state (the network state whose source_thread is the external
 sentinel). Edges are the causes the engine recorded: each state's parents
 are the states of its trace that were active on the sending thread or the
 forking parent when the state was created, and each becomes one edge,
@@ -41,6 +41,14 @@ class DagValidationError(ValueError):
     pass
 
 
+def _int(doc: dict, key: str) -> int:
+    """doc[key], which must be an int; a bool is not one."""
+    value = doc[key]
+    if type(value) is not int:
+        raise DagValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class DagNode:
     state_id: str
@@ -68,16 +76,17 @@ class DagNode:
 
     @classmethod
     def from_doc(cls, doc: dict) -> DagNode:
+        tallies = doc["event_tallies"]
         return cls(
             state_id=doc["state_id"],
             kind=doc["kind"],
-            owner_pid=doc["owner_pid"],
+            owner_pid=_int(doc, "owner_pid"),
             comm=doc["comm"],
-            start_ns=doc["start_ns"],
-            end_ns=doc["end_ns"],
+            start_ns=_int(doc, "start_ns"),
+            end_ns=_int(doc, "end_ns"),
             flags=list(doc["flags"]),
             identity=dict(doc["identity"]),
-            event_tallies=dict(doc["event_tallies"]),
+            event_tallies={event: _int(tallies, event) for event in tallies},
         )
 
 
@@ -115,7 +124,7 @@ class RequestDag:
     @classmethod
     def from_doc(cls, doc: dict) -> RequestDag:
         return cls(
-            trace_id=doc["trace_id"],
+            trace_id=_int(doc, "trace_id"),
             root_id=doc["root"],
             nodes=[DagNode.from_doc(n) for n in doc["nodes"]],
             edges=[(e["parent"], e["child"], e["cause"]) for e in doc["edges"]],
@@ -146,11 +155,8 @@ def node_key(kind: str, owner_pid: int, identity: dict, start_ns: int) -> str:
 
 
 def _make_node(state: State) -> DagNode:
-    if state.kind == "network":
-        conn = (*state.conn.src, *state.conn.dst)
-        identity = node_identity(state.trace_id, state.source_thread, conn)
-    else:
-        identity = node_identity(state.trace_id, state.parent_pid)
+    conn = None if state.conn is None else (*state.conn.src, *state.conn.dst)
+    identity = node_identity(state.trace_id, state.source_thread, conn)
     key = node_key(state.kind, state.owner_pid, identity, state.start_ns)
     digest = hashlib.sha1(key.encode()).hexdigest()[:12]
     return DagNode(

@@ -5,23 +5,24 @@ events:
 
 * syscall enter/exit tracepoints establish whether the thread is currently
   inside one of the tracked send or receive syscalls;
-* a send probe observed inside a send syscall marks outgoing TCP data,
-  records the sending thread on the socket, and classifies the transmission
-  as a REQUEST, or as a RESPONSE when the destination matches the requester
-  endpoint of one of the thread's active network spans (which that send
-  ends);
+* a send probe observed inside a send syscall marks outgoing TCP data. When
+  the destination is the requester endpoint of one of the thread's active
+  network states, the send is that request's response: it ends the state
+  and leaves nothing in flight on the socket. Any other send puts a request
+  in flight there, remembered as its sending thread and direction;
 * tcp_rcv_space_adjust observed inside a receive syscall marks incoming TCP
-  data and either propagates every trace id active on the sending thread
-  onto the receiver as new NetworkStates, or mints a fresh trace id when the
-  data arrives on a configured gateway endpoint with no observed in-flight
-  request (traffic entering from the untraced outside world);
+  data and either propagates every trace id active on the sending thread of
+  the request in flight onto the receiver as new network states, or mints a
+  fresh trace id when the data arrives on a configured gateway endpoint with
+  no request in flight (traffic entering from the untraced outside world);
 * sched_process_fork copies the parent's active trace ids onto the child as
-  ForkStates;
+  fork states;
 * sched_process_exit ends everything the thread still owns and retires it.
 
-A NetworkState spans request arrival to response sent. A ForkState spans the
-child's lifetime. Both accumulate per-event tallies of user-enabled events
-that fire on the owning thread while they are active.
+A State is one trace living on one thread. A network state spans request
+arrival to response sent; a fork state spans the child's lifetime. Both
+accumulate per-event tallies of user-enabled events that fire on the owning
+thread while they are active.
 
 Causality is recorded, not inferred: a propagated or forked state's parents
 are the states of its trace that were active on the sending thread or the
@@ -45,7 +46,7 @@ import logging
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple, Union
+from typing import NamedTuple
 
 from .records import (
     EXIT_EVENT,
@@ -67,9 +68,6 @@ log = logging.getLogger(__name__)
 
 # Sentinel thread id for untraced peers (outside clients). Never a real pid.
 EXTERNAL_THREAD = 0
-
-REQUEST = "REQUEST"
-RESPONSE = "RESPONSE"
 
 FLAG_OPEN_AT_END = "open_at_end"
 FLAG_ENDED_BY_EXIT = "ended_by_exit"
@@ -94,59 +92,30 @@ SocketKey = tuple[Endpoint, Endpoint]
 
 
 @dataclass
-class SocketRecord:
-    # The sending Thread, or EXTERNAL_THREAD for an arrival from outside.
-    sender_thread: Thread | int | None = None
-    transmission_type: str | None = None
-    last_direction: Tcp4Tuple | None = None
+class State:
+    """One trace living on one thread: for a network state from request
+    arrival to response sent, for a fork state the forked child's lifetime."""
 
-
-@dataclass
-class NetworkState:
-    """One request's residence on a thread: arrival to response sent."""
-
+    kind: str  # "network" or "fork"
+    # The pid the trace came from: the sender (EXTERNAL_THREAD for an
+    # arrival from outside), or the forking parent.
     source_thread: int
-    conn: Tcp4Tuple  # oriented requester -> receiver
     trace_id: int
     owner_pid: int
     start_ns: int
+    conn: Tcp4Tuple | None = None  # oriented requester -> receiver; no fork has one
     end_ns: int | None = None
     comm: str = ""  # the owning thread's name when the state was created
     flags: set[str] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
-    # The sender's active states of this trace when the data arrived.
+    # The source thread's active states of this trace when this one began.
     parents: tuple[State, ...] = field(default=(), repr=False, compare=False)
+    # Unique among one thread's active states.
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    kind: ClassVar[str] = "network"
-
-    @property
-    def key(self) -> tuple:
-        return ("net", self.source_thread, self.conn.normalized(), self.trace_id)
-
-
-@dataclass
-class ForkState:
-    """A forked child's lifetime under one of the parent's active traces."""
-
-    parent_pid: int
-    trace_id: int
-    owner_pid: int
-    start_ns: int
-    end_ns: int | None = None
-    comm: str = ""  # the owning thread's name when the state was created
-    flags: set[str] = field(default_factory=set)
-    tallies: Counter[str] = field(default_factory=Counter)
-    # The forking parent's active states of this trace at the fork.
-    parents: tuple[State, ...] = field(default=(), repr=False, compare=False)
-
-    kind: ClassVar[str] = "fork"
-
-    @property
-    def key(self) -> tuple:
-        return ("fork", self.parent_pid, self.trace_id)
-
-
-State = Union[NetworkState, ForkState]
+    def __post_init__(self) -> None:
+        socket = self.conn.normalized() if self.conn is not None else None
+        self.key = (self.kind, self.source_thread, socket, self.trace_id)
 
 
 @dataclass
@@ -167,12 +136,17 @@ class Thread:
         return {trace_id: tuple(grouped[trace_id]) for trace_id in sorted(grouped)}
 
 
+# A socket's request in flight: its sending Thread (EXTERNAL_THREAD for an
+# arrival from outside) and its direction. None once a response was sent.
+InFlight = tuple[Thread | int, Tcp4Tuple]
+
+
 @dataclass
 class EngineSnapshot:
     """Frozen result of a replay, handed to the DAG builder."""
 
     threads: list[Thread]
-    sockets: dict[SocketKey, SocketRecord]
+    sockets: dict[SocketKey, InFlight | None]
     # Every minted id, including traces already taken during replay.
     minted_traces: list[int]
     # The ended states of each trace not taken, in mint order.
@@ -216,14 +190,13 @@ class ReplayEngine:
             raise ValueError("at least one gateway endpoint is required")
         self.active: dict[int, Thread] = {}
         self.terminated: dict[int, Thread] = {}
-        self.sockets: dict[SocketKey, SocketRecord] = {}
-        self.minted: list[int] = []
+        self.sockets: dict[SocketKey, InFlight | None] = {}
+        self._minted = 0  # ids are consecutive from 1
         # Ended states per trace, keyed at mint so the order is mint order;
         # a trace replay() hands out is removed.
         self.states_by_trace: dict[int, list[State]] = {}
         self._active_count: Counter[int] = Counter()
         self._completed: list[int] = []
-        self._next_trace_id = 1
         self.counters: Counter[str] = Counter()
         self.unattributed: Counter[str] = Counter()
         self.last_ns = 0
@@ -290,7 +263,7 @@ class ReplayEngine:
         for state in list(thread.active_states.values()):
             # An un-responded network span cut short by exit is flagged; a
             # fork span ending at exit is its normal end.
-            flag = FLAG_ENDED_BY_EXIT if isinstance(state, NetworkState) else None
+            flag = FLAG_ENDED_BY_EXIT if state.kind == "network" else None
             self._end_state(thread, state, end_ns, flag)
 
     def _take_completed(self) -> list[tuple[int, list[State]]]:
@@ -358,7 +331,8 @@ class ReplayEngine:
             thread.in_syscall = None
 
     def _tcp_send(self, record: TraceRecord) -> None:
-        """Outgoing TCP data: classify the socket, maybe end a span."""
+        """Outgoing TCP data: a request in flight, or a response that ends
+        a span and leaves nothing in flight on the socket."""
         thread = self._thread(record)
         if thread.in_syscall not in SEND_SYSCALLS:
             self.counters["orphan_probe"] += 1
@@ -367,26 +341,20 @@ class ReplayEngine:
         if conn is None:
             self.counters["bad_tuple_args"] += 1
             return
-        key = conn.normalized()
-        sock = self.sockets.get(key)
-        if sock is None:
-            sock = SocketRecord()
-            self.sockets[key] = sock
-        sock.sender_thread = thread
-        sock.transmission_type = REQUEST
-        sock.last_direction = conn
         # Sending back to a requester ends that span; first match in state
         # creation order wins, extra simultaneous matches are only counted.
         first = None
         extra = 0
         for state in thread.active_states.values():
-            if isinstance(state, NetworkState) and state.conn.src == conn.dst:
+            if state.conn is not None and state.conn.src == conn.dst:
                 if first is None:
                     first = state
                 else:
                     extra += 1
-        if first is not None:
-            sock.transmission_type = RESPONSE
+        if first is None:
+            self.sockets[conn.normalized()] = (thread, conn)
+        else:
+            self.sockets[conn.normalized()] = None
             self._end_state(thread, first, record.timestamp_ns)
             if extra:
                 self.counters["multi_match_response"] += 1
@@ -403,9 +371,9 @@ class ReplayEngine:
             return
         local, remote = conn.src, conn.dst  # receiver-local orientation
         key = conn.normalized()
-        sock = self.sockets.get(key)
-        if sock is not None and sock.transmission_type == REQUEST:
-            sender = sock.sender_thread
+        in_flight = self.sockets.get(key)
+        if in_flight is not None:
+            sender, direction = in_flight
             if sender == EXTERNAL_THREAD:
                 # The in-flight request on this socket was already minted;
                 # further copies to user space are duplicates.
@@ -413,14 +381,14 @@ class ReplayEngine:
                 return
             # The sender's states now, not at the send: a trace that has
             # completed since is never extended.
-            direction = sock.last_direction
             for trace_id, parents in sender.active_by_trace().items():
-                state = NetworkState(
+                state = State(
+                    kind="network",
                     source_thread=sender.pid,
-                    conn=direction,
                     trace_id=trace_id,
                     owner_pid=thread.pid,
                     start_ns=record.timestamp_ns,
+                    conn=direction,
                     parents=parents,
                 )
                 if not self._add_state(thread, state):
@@ -430,29 +398,29 @@ class ReplayEngine:
             # request: traffic from the untraced outside, new trace.
             trace_id = self._mint()
             direction = Tcp4Tuple(src=remote, dst=local)
-            state = NetworkState(
+            state = State(
+                kind="network",
                 source_thread=EXTERNAL_THREAD,
-                conn=direction,
                 trace_id=trace_id,
                 owner_pid=thread.pid,
                 start_ns=record.timestamp_ns,
+                conn=direction,
             )
             self._add_state(thread, state)
-            self.sockets[key] = SocketRecord(
-                sender_thread=EXTERNAL_THREAD,
-                transmission_type=REQUEST,
-                last_direction=direction,
-            )
-        elif sock is None:
+            self.sockets[key] = (EXTERNAL_THREAD, direction)
+        elif key not in self.sockets:
             self.counters["receive_on_unknown_socket"] += 1
         # else: a response landing back on the requester; no state.
 
     def _mint(self) -> int:
-        trace_id = self._next_trace_id
-        self._next_trace_id += 1
-        self.minted.append(trace_id)
-        self.states_by_trace[trace_id] = []
-        return trace_id
+        self._minted += 1
+        self.states_by_trace[self._minted] = []
+        return self._minted
+
+    @property
+    def minted(self) -> list[int]:
+        """Every trace id minted so far."""
+        return list(range(1, self._minted + 1))
 
     def _fork(self, record: TraceRecord) -> None:
         parent = self._thread(record)
@@ -463,8 +431,9 @@ class ReplayEngine:
         child_comm = record.args.get("child_comm", parent.comm)
         child = self._spawn_child(child_pid, child_comm, record.timestamp_ns)
         for trace_id, parents in parent.active_by_trace().items():
-            state = ForkState(
-                parent_pid=parent.pid,
+            state = State(
+                kind="fork",
+                source_thread=parent.pid,
                 trace_id=trace_id,
                 owner_pid=child_pid,
                 start_ns=record.timestamp_ns,
@@ -492,7 +461,7 @@ class ReplayEngine:
 
     # ------------------------------------------------------------------
 
-    def finalize(self, end_timestamp: int | None = None) -> EngineSnapshot:
+    def finalize(self) -> EngineSnapshot:
         """End still-open states, freeze the pools, and return them.
 
         Every trace this closes joins the completed ones, which replay()
@@ -500,16 +469,15 @@ class ReplayEngine:
         """
         if self.finalized:
             raise RuntimeError("engine already finalized")
-        end_ns = self.last_ns if end_timestamp is None else end_timestamp
         threads = [*self.active.values(), *self.terminated.values()]
         for thread in threads:
             for state in list(thread.active_states.values()):
-                self._end_state(thread, state, end_ns, FLAG_OPEN_AT_END)
+                self._end_state(thread, state, self.last_ns, FLAG_OPEN_AT_END)
         self.finalized = True
         return EngineSnapshot(
             threads=threads,
             sockets=dict(self.sockets),
-            minted_traces=list(self.minted),
+            minted_traces=self.minted,
             states_by_trace=dict(self.states_by_trace),
             counters=dict(self.counters),
             unattributed=Counter(self.unattributed),

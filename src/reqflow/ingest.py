@@ -201,29 +201,23 @@ def merge_streams(streams: Sequence[Iterable[TraceRecord]]) -> Iterator[TraceRec
     return heapq.merge(*checked, key=_MERGE_KEY)
 
 
-@dataclass
-class IngestConfig:
-    pid_allowlist: frozenset[int] = frozenset()
-    follow_forks: bool = False
-
-
 def filter_records(
-    records: Iterable[TraceRecord], config: IngestConfig
+    records: Iterable[TraceRecord], pids: Iterable[int], follow_forks: bool = False
 ) -> Iterator[TraceRecord]:
-    """Keep records for allowlisted pids, optionally following forks.
+    """Keep records of the given pids, optionally following forks.
 
-    An empty allowlist passes everything through. With follow_forks, a
-    sched_process_fork from a retained pid extends the allowlist with the
+    No pids passes everything through. With follow_forks, a
+    sched_process_fork from a retained pid extends the kept pids with the
     child pid from that point in the stream on. Output order and
     multiplicity are a subsequence of the input.
     """
-    allowed = set(config.pid_allowlist)
+    allowed = set(pids)
     if not allowed:
         yield from records
         return
     for record in records:
         if (
-            config.follow_forks
+            follow_forks
             and record.event == FORK_EVENT
             and record.pid in allowed
         ):

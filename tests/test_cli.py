@@ -3,8 +3,8 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-
 from contextlib import ExitStack
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +15,7 @@ from reqflow.engine import ReplayEngine
 from reqflow.ingest import merge_streams, read_stream
 from reqflow.records import Endpoint
 
+GOLDEN = Path(__file__).parent / "golden"
 GATEWAY_FLAGS = ["--gateway", "10.1.0.2:80"]
 USER_EVENT_FLAGS = [
     "--user-event", "page_fault_user", "--user-event", "sched_migrate_task",
@@ -54,6 +55,23 @@ def test_round_trip_synth_reconstruct_diff(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "clean" in out
+
+
+def test_engine_counters_match_the_golden_diagnostics(tmp_path):
+    # A faulted capture that exercises seven engine counters.
+    capture = tmp_path / "capture"
+    assert main(["synth", "--random-seed", "3", "--requests", "20",
+                 "--duplicate-receives", "--drop-structural", "0.1",
+                 "--fault-seed", "1", "--out", str(capture)]) == 0
+    topology = json.loads((capture / "topology.json").read_text())
+    gateway = next(s for s in topology["services"] if s["name"] == topology["gateway"])
+    logs = sorted(str(p) for p in capture.glob("cpu*.log"))
+    out = tmp_path / "dags"
+    assert main(["reconstruct", *logs, "--gateway", f"{gateway['ip']}:{gateway['port']}",
+                 "--out", str(out)]) == 0
+    for name in ("diagnostics.json", "summary.txt"):
+        golden = GOLDEN / f"faulted_{name}"
+        assert (out / name).read_bytes() == golden.read_bytes(), f"{name} drifted"
 
 
 @pytest.mark.parametrize("batch", [1, 64])
@@ -189,6 +207,34 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "dags")])
     assert code == 2
     assert "bad config" in capsys.readouterr().err
+
+
+BAD_CONFIGS = {
+    "pids_strings": {"pids": ["2066822"]},
+    "pids_bools": {"pids": [True]},
+    "pids_an_int": {"pids": 2066822},
+    "user_events_a_string": {"user_events": "page_fault_user"},
+    "user_events_ints": {"user_events": [1]},
+    "gateways_a_string": {"gateways": "10.1.0.2:80"},
+    "follow_forks_an_int": {"follow_forks": 1},
+    "strict_a_string": {"strict": "no"},
+    "strict_null": {"strict": None},
+    "backend_a_list": {"backend": ["ftrace"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, name):
+    config = BAD_CONFIGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "dags"
+    code = main(["reconstruct", "whatever.log", *GATEWAY_FLAGS, "--config", str(path),
+                 "--out", str(out)])
+    assert code == 2
+    key = next(iter(config))
+    assert capsys.readouterr().err.startswith(f"reqflow: bad config {path}: {key} must be")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gateway", ["10.1.0.2:²", 80])
@@ -336,9 +382,30 @@ def _node_without_identity(doc):
     return doc
 
 
+def _tally(value):
+    def damage(doc):
+        doc["nodes"][0]["event_tallies"]["x"] = value
+        return doc
+    return damage
+
+
+def _last_node(key, retype):
+    def damage(doc):
+        doc["nodes"][-1][key] = retype(doc["nodes"][-1][key])
+        return doc
+    return damage
+
+
 BAD_DAG_DOCS = {
     "unknown_edge_parent": _unknown_edge_parent,
     "node_without_identity": _node_without_identity,
+    "trace_id_a_list": lambda doc: {**doc, "trace_id": [1]},
+    "trace_id_a_bool": lambda doc: {**doc, "trace_id": True},
+    "owner_pid_a_string": _last_node("owner_pid", str),
+    "start_ns_a_float": _last_node("start_ns", float),
+    "end_ns_null": _last_node("end_ns", lambda _: None),
+    "tally_a_string": _tally("7"),
+    "tally_a_bool": _tally(True),
     "nodes_not_a_list": lambda doc: {**doc, "nodes": "x"},
     "top_level_list": lambda doc: [1, 2],
 }

@@ -21,13 +21,7 @@ from reqflow.dag import (
     summarize,
     validate_dag,
 )
-from reqflow.engine import (
-    EXTERNAL_THREAD,
-    EngineSnapshot,
-    ForkState,
-    NetworkState,
-    Tcp4Tuple,
-)
+from reqflow.engine import EXTERNAL_THREAD, EngineSnapshot, State, Tcp4Tuple
 from reqflow.records import Endpoint
 
 
@@ -36,15 +30,15 @@ def _conn(sport: int, dport: int) -> Tcp4Tuple:
 
 
 def _net(owner, source_thread, trace, start, end, sport=50_000, dport=80, parents=()):
-    return NetworkState(
-        source_thread=source_thread, conn=_conn(sport, dport), trace_id=trace,
-        owner_pid=owner, start_ns=start, end_ns=end, parents=parents,
+    return State(
+        kind="network", source_thread=source_thread, trace_id=trace, owner_pid=owner,
+        start_ns=start, conn=_conn(sport, dport), end_ns=end, parents=parents,
     )
 
 
 def _fork(owner, parent, trace, start, end, parents=()):
-    return ForkState(
-        parent_pid=parent, trace_id=trace, owner_pid=owner,
+    return State(
+        kind="fork", source_thread=parent, trace_id=trace, owner_pid=owner,
         start_ns=start, end_ns=end, parents=parents,
     )
 

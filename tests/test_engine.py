@@ -15,8 +15,6 @@ from reqflow.engine import (
     EXTERNAL_THREAD,
     FLAG_ENDED_BY_EXIT,
     FLAG_OPEN_AT_END,
-    ForkState,
-    NetworkState,
     ReplayEngine,
     Tcp4Tuple,
 )
@@ -119,7 +117,7 @@ def test_gateway_arrival_mints_sequential_ids():
     states = engine.active[1].active_states
     assert len(states) == 2
     for state in states.values():
-        assert isinstance(state, NetworkState)
+        assert state.kind == "network"
         assert state.source_thread == EXTERNAL_THREAD
         assert state.owner_pid == 1
 
@@ -161,6 +159,8 @@ def test_response_send_ends_the_span():
     state = _ended(engine, 1)[0]
     assert state.end_ns == done
     assert not state.flags
+    # nothing is in flight on the socket, and it holds no thread
+    assert list(engine.sockets.values()) == [None]
 
 
 def test_keep_alive_connection_mints_again_after_response():
@@ -270,9 +270,9 @@ def test_fork_copies_each_active_trace_onto_child():
     assert child.comm == "worker"
     states = list(child.active_states.values())
     assert sorted(state.trace_id for state in states) == [1, 2]
-    assert all(isinstance(state, ForkState) for state in states)
+    assert all(state.kind == "fork" for state in states)
     assert all(state.start_ns == forked for state in states)
-    assert all(state.parent_pid == 1 for state in states)
+    assert all(state.source_thread == 1 for state in states)
 
 
 def _ids(states) -> list[int]:
@@ -356,7 +356,7 @@ def test_fork_chain_reaches_grandchild():
     grandchild = list(engine.active[43].active_states.values())
     assert len(grandchild) == 1
     assert grandchild[0].trace_id == 1
-    assert grandchild[0].parent_pid == 42
+    assert grandchild[0].source_thread == 42
 
 
 def test_fork_without_usable_child_pid_is_counted():
@@ -466,11 +466,16 @@ def test_unconfigured_events_are_ignored_not_tallied():
 def test_finalize_flags_open_states_and_clamps_end():
     script = Script()
     start = script.recv(1, "gw", GW, CLIENT_1)
+    script.ts = start - 500  # the response carries an older timestamp
+    script.send(1, "gw", GW, CLIENT_1)
+    script.recv(1, "gw", GW, CLIENT_2)
     engine = run(script)
-    snapshot = engine.finalize(end_timestamp=start - 500)
-    (state,) = _ended(snapshot, 1)
-    assert state.flags == {FLAG_OPEN_AT_END}
-    assert state.end_ns == start  # never before its own start
+    snapshot = engine.finalize()
+    answered, still_open = _ended(snapshot, 1)
+    assert answered.end_ns == start  # never before its own start
+    assert not answered.flags
+    assert still_open.flags == {FLAG_OPEN_AT_END}
+    assert still_open.end_ns == engine.last_ns
 
 
 def test_finalize_defaults_to_last_seen_timestamp():

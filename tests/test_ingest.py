@@ -5,7 +5,6 @@ import random
 import pytest
 
 from reqflow.ingest import (
-    IngestConfig,
     MalformedLineError,
     ParseStats,
     UnsortedStreamError,
@@ -274,13 +273,12 @@ def _rec(ts, pid, event="sys_enter_read", **args):
 
 def test_filter_empty_allowlist_passes_everything():
     records = [_rec(1, 10), _rec(2, 20)]
-    assert list(filter_records(iter(records), IngestConfig())) == records
+    assert list(filter_records(iter(records), ())) == records
 
 
 def test_filter_keeps_only_allowlisted_pids():
     records = [_rec(1, 10), _rec(2, 20), _rec(3, 10)]
-    config = IngestConfig(pid_allowlist=frozenset({10}))
-    assert [r.pid for r in filter_records(iter(records), config)] == [10, 10]
+    assert [r.pid for r in filter_records(iter(records), {10})] == [10, 10]
 
 
 def test_filter_follow_forks_extends_across_generations():
@@ -293,8 +291,7 @@ def test_filter_follow_forks_extends_across_generations():
         _rec(6, 99, event="sched_process_fork", child_pid=100),
         _rec(7, 100),
     ]
-    config = IngestConfig(pid_allowlist=frozenset({10}), follow_forks=True)
-    kept = [r.pid for r in filter_records(iter(records), config)]
+    kept = [r.pid for r in filter_records(iter(records), {10}, follow_forks=True)]
     assert kept == [10, 11, 11, 12]
 
 
@@ -303,8 +300,7 @@ def test_filter_without_follow_forks_does_not_extend():
         _rec(1, 10, event="sched_process_fork", child_pid=11),
         _rec(2, 11),
     ]
-    config = IngestConfig(pid_allowlist=frozenset({10}))
-    assert [r.pid for r in filter_records(iter(records), config)] == [10]
+    assert [r.pid for r in filter_records(iter(records), {10})] == [10]
 
 
 def test_filter_does_not_follow_a_fork_without_a_decimal_child_pid():
@@ -313,5 +309,4 @@ def test_filter_does_not_follow_a_fork_without_a_decimal_child_pid():
         _rec(2, 10, event="sched_process_fork"),
         _rec(3, 2),
     ]
-    config = IngestConfig(pid_allowlist=frozenset({10}), follow_forks=True)
-    assert [r.pid for r in filter_records(iter(records), config)] == [10, 10]
+    assert [r.pid for r in filter_records(iter(records), {10}, follow_forks=True)] == [10, 10]
