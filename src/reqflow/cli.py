@@ -27,7 +27,6 @@ from .dag import (
     render_gantt,
     render_summary,
     summarize,
-    summarize_rows,
     summary_row,
     validate_dag,
 )
@@ -172,10 +171,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             for trace_id, states in engine.replay(records):
                 write(build_trace(trace_id, states))
         rows.sort(key=lambda row: row["trace_id"])  # mint order
-        summary = render_summary(summarize_rows(rows)) if rows else "traces 0\n"
-        (out / "summary.txt").write_text(summary)
+        (out / "summary.txt").write_text(render_summary(rows))
         diagnostics = {
-            "minted_traces": engine.minted,
+            "minted_traces": engine.minted_traces,
             "counters": dict(sorted(engine.counters.items())),
             "unattributed": dict(sorted(engine.unattributed.items())),
             "parse": {
@@ -205,6 +203,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
+        faults = []
+        if args.drop_user is not None:
+            faults.append(FaultMode.drop_user_events(args.drop_user))
+        if args.drop_structural is not None:
+            faults.append(FaultMode.drop_structural(args.drop_structural))
+        if args.truncate is not None:
+            faults.append(FaultMode.truncate(args.truncate))
         if args.demo:
             topology = demo_topology()
         elif args.topology:
@@ -219,13 +224,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
 
     manifest = []
-    faults = []
-    if args.drop_user is not None:
-        faults.append(FaultMode.drop_user_events(args.drop_user))
-    if args.drop_structural is not None:
-        faults.append(FaultMode.drop_structural(args.drop_structural))
-    if args.truncate is not None:
-        faults.append(FaultMode.truncate(args.truncate))
     for mode in faults:
         streams, dropped = inject_faults(streams, mode, args.fault_seed)
         manifest.extend(dropped)
@@ -256,9 +254,9 @@ def _collect_dag_paths(arguments: list[str]) -> list[Path]:
     return paths
 
 
-# What reading, decoding and checking a dag document can raise; a
+# What reading, decoding and checking a dag or truth document can raise; a
 # DagValidationError is a ValueError.
-_BAD_DAG = (OSError, ValueError, KeyError, TypeError)
+_BAD_DOC = (OSError, ValueError, KeyError, TypeError)
 
 
 def _load_dag(path: Path) -> RequestDag:
@@ -271,13 +269,13 @@ def _load_dag(path: Path) -> RequestDag:
 def cmd_diff(args: argparse.Namespace) -> int:
     try:
         truth = GroundTruth.from_doc(json.loads(Path(args.truth).read_text()))
-    except (OSError, KeyError, ValueError) as exc:
+    except _BAD_DOC as exc:
         return _fail(f"bad truth file {args.truth}: {exc}", 2)
     docs = []
     for path in _collect_dag_paths(args.dags):
         try:
             docs.append(_load_dag(path).to_doc())
-        except _BAD_DAG as exc:
+        except _BAD_DOC as exc:
             return _fail(f"bad dag document {path}: {exc}", 1)
     report = compare(docs, truth)
     sys.stdout.write(report.render())
@@ -295,7 +293,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     for name in args.dags:
         try:
             dags.append(_load_dag(Path(name)))
-        except _BAD_DAG as exc:
+        except _BAD_DOC as exc:
             return _fail(f"bad dag document {name}: {exc}", 1)
     if args.summary:
         sys.stdout.write(render_summary(summarize(dags)))

@@ -23,7 +23,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .engine import EXTERNAL_THREAD, EngineSnapshot, State
+from .engine import EXTERNAL_THREAD, ReplayEngine, State
+from .records import strict_int
 
 SCHEMA_VERSION = "1"
 
@@ -39,14 +40,6 @@ GANTT_MAX_INDENT = 32
 
 class DagValidationError(ValueError):
     pass
-
-
-def _int(doc: dict, key: str) -> int:
-    """doc[key], which must be an int; a bool is not one."""
-    value = doc[key]
-    if type(value) is not int:
-        raise DagValidationError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass
@@ -80,13 +73,13 @@ class DagNode:
         return cls(
             state_id=doc["state_id"],
             kind=doc["kind"],
-            owner_pid=_int(doc, "owner_pid"),
+            owner_pid=strict_int(doc["owner_pid"], "owner_pid"),
             comm=doc["comm"],
-            start_ns=_int(doc, "start_ns"),
-            end_ns=_int(doc, "end_ns"),
+            start_ns=strict_int(doc["start_ns"], "start_ns"),
+            end_ns=strict_int(doc["end_ns"], "end_ns"),
             flags=list(doc["flags"]),
             identity=dict(doc["identity"]),
-            event_tallies={event: _int(tallies, event) for event in tallies},
+            event_tallies={event: strict_int(tallies[event], event) for event in tallies},
         )
 
 
@@ -124,7 +117,7 @@ class RequestDag:
     @classmethod
     def from_doc(cls, doc: dict) -> RequestDag:
         return cls(
-            trace_id=_int(doc, "trace_id"),
+            trace_id=strict_int(doc["trace_id"], "trace_id"),
             root_id=doc["root"],
             nodes=[DagNode.from_doc(n) for n in doc["nodes"]],
             edges=[(e["parent"], e["child"], e["cause"]) for e in doc["edges"]],
@@ -234,10 +227,10 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
     )
 
 
-def build_all_dags(snapshot: EngineSnapshot) -> Iterator[RequestDag]:
-    """Assemble one DAG per trace in the snapshot, in mint order; traces
-    replay() already yielded are not in it."""
-    for trace_id, states in snapshot.states_by_trace.items():
+def build_all_dags(engine: ReplayEngine) -> Iterator[RequestDag]:
+    """Assemble one DAG per trace a finalized engine holds, in mint order;
+    traces replay() already yielded are not in it."""
+    for trace_id, states in engine.states_by_trace.items():
         yield build_trace(trace_id, states)
 
 
@@ -371,34 +364,22 @@ def summary_row(dag: RequestDag) -> dict:
     }
 
 
-def summarize_rows(rows: list[dict]) -> dict:
-    """The given rows plus min/median/max aggregates over them."""
+def summarize(dags: Iterable[RequestDag]) -> list[dict]:
+    """One summary_row per dag, in the given order."""
+    return [summary_row(dag) for dag in dags]
+
+
+def render_summary(rows: list[dict]) -> str:
+    """A table of the rows, then their count, span range and event totals."""
     if not rows:
-        raise ValueError("at least one dag is required")
-    merged: Counter[str] = Counter()
+        return "traces 0\n"
+    totals: Counter[str] = Counter()
     for row in rows:
-        merged.update(row["event_totals"])
-    spans = sorted(row["span_ns"] for row in rows)
-    aggregate = {
-        "traces": len(rows),
-        "span_ns_min": spans[0],
-        "span_ns_median": statistics.median(spans),
-        "span_ns_max": spans[-1],
-        "event_totals": dict(sorted(merged.items())),
-    }
-    return {"traces": rows, "aggregate": aggregate}
-
-
-def summarize(dags: Iterable[RequestDag]) -> dict:
-    """Per-trace duration/node/tally rows plus min/median/max aggregates."""
-    return summarize_rows([summary_row(dag) for dag in dags])
-
-
-def render_summary(summary: dict) -> str:
-    events = sorted(summary["aggregate"]["event_totals"])
+        totals.update(row["event_totals"])
+    events = sorted(totals)
     header = ["trace", "span_ns", "nodes", *events]
     table = [header]
-    for row in summary["traces"]:
+    for row in rows:
         table.append(
             [
                 str(row["trace_id"]),
@@ -412,13 +393,12 @@ def render_summary(summary: dict) -> str:
         "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(line)).rstrip()
         for line in table
     ]
-    agg = summary["aggregate"]
+    spans = sorted(row["span_ns"] for row in rows)
     lines.append("")
     lines.append(
-        f"traces={agg['traces']} span_ns min={agg['span_ns_min']}"
-        f" median={agg['span_ns_median']} max={agg['span_ns_max']}"
+        f"traces={len(rows)} span_ns min={spans[0]}"
+        f" median={statistics.median(spans)} max={spans[-1]}"
     )
-    totals = " ".join(f"{k}={v}" for k, v in agg["event_totals"].items())
     if totals:
-        lines.append(f"event totals: {totals}")
+        lines.append("event totals: " + " ".join(f"{k}={totals[k]}" for k in events))
     return "\n".join(lines) + "\n"

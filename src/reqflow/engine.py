@@ -17,7 +17,9 @@ events:
   no request in flight (traffic entering from the untraced outside world);
 * sched_process_fork copies the parent's active trace ids onto the child as
   fork states;
-* sched_process_exit ends everything the thread still owns and retires it.
+* sched_process_exit ends everything the thread still owns and marks it
+  exited. Late records for its pid still land on it, until a fork reuses
+  the pid.
 
 A State is one trace living on one thread. A network state spans request
 arrival to response sent; a fork state spans the child's lifetime. Both
@@ -37,7 +39,8 @@ record can add to it. replay() is how traces leave the engine: it handles
 each record, yields every complete trace with its ended states and forgets
 it, then finalizes and yields the rest. A caller that writes each trace as
 it is yielded holds only the traces still in flight. finalize() on its own
-returns a snapshot of the pools for a caller that builds every trace at once.
+ends the open states and returns the engine, whose states_by_trace then
+holds every trace for a caller that builds them all at once.
 """
 
 from __future__ import annotations
@@ -88,9 +91,6 @@ class Tcp4Tuple(NamedTuple):
         return (self.src, self.dst) if self.src <= self.dst else (self.dst, self.src)
 
 
-SocketKey = tuple[Endpoint, Endpoint]
-
-
 @dataclass
 class State:
     """One trace living on one thread: for a network state from request
@@ -123,6 +123,7 @@ class Thread:
     pid: int
     comm: str = ""
     in_syscall: str | None = None
+    exited: bool = False
     # Keyed store holds active states only; key uniqueness is enforced here.
     # Ended states move to the engine's per-trace store, so a key can recur
     # on a kept-alive connection carrying a later request.
@@ -139,25 +140,6 @@ class Thread:
 # A socket's request in flight: its sending Thread (EXTERNAL_THREAD for an
 # arrival from outside) and its direction. None once a response was sent.
 InFlight = tuple[Thread | int, Tcp4Tuple]
-
-
-@dataclass
-class EngineSnapshot:
-    """Frozen result of a replay, handed to the DAG builder."""
-
-    threads: list[Thread]
-    sockets: dict[SocketKey, InFlight | None]
-    # Every minted id, including traces already taken during replay.
-    minted_traces: list[int]
-    # The ended states of each trace not taken, in mint order.
-    states_by_trace: dict[int, list[State]]
-    counters: dict[str, int]
-    unattributed: Counter[str]
-
-    def iter_thread_states(self) -> Iterator[State]:
-        """Every ended state the snapshot holds, trace by trace."""
-        for states in self.states_by_trace.values():
-            yield from states
 
 
 def _conn_from_args(args: dict[str, str]) -> Tcp4Tuple | None:
@@ -188,9 +170,9 @@ class ReplayEngine:
         )
         if not self.gateway_endpoints:
             raise ValueError("at least one gateway endpoint is required")
-        self.active: dict[int, Thread] = {}
-        self.terminated: dict[int, Thread] = {}
-        self.sockets: dict[SocketKey, InFlight | None] = {}
+        # The latest thread of each pid, exited or not.
+        self.threads: dict[int, Thread] = {}
+        self.sockets: dict[tuple[Endpoint, Endpoint], InFlight | None] = {}
         self._minted = 0  # ids are consecutive from 1
         # Ended states per trace, keyed at mint so the order is mint order;
         # a trace replay() hands out is removed.
@@ -206,32 +188,29 @@ class ReplayEngine:
     # thread pool
 
     def _thread(self, record: TraceRecord) -> Thread:
-        thread = self.active.get(record.pid)
-        if thread is None:
-            # Late events for an already-terminated pid stay on the retired
-            # thread rather than spawning a ghost.
-            thread = self.terminated.get(record.pid)
+        # Late events for an exited pid stay on its thread rather than
+        # spawning a ghost.
+        thread = self.threads.get(record.pid)
         if thread is None:
             thread = Thread(pid=record.pid, comm=record.comm)
-            self.active[record.pid] = thread
+            self.threads[record.pid] = thread
         elif record.comm:
             thread.comm = record.comm
         return thread
 
     def _spawn_child(self, pid: int, comm: str, timestamp_ns: int) -> Thread:
-        existing = self.active.get(pid)
-        if existing is not None:
+        existing = self.threads.get(pid)
+        if existing is not None and not existing.exited:
             # Fork naming a pid that is still live: anomalous stream. Reuse
             # the live thread as the child rather than inventing a twin.
             self.counters["fork_existing_pid"] += 1
             return existing
-        retired = self.terminated.pop(pid, None)  # pid reuse after exit
-        if retired is not None:
-            # Late records can open states on a retired thread. Nothing
+        if existing is not None:  # pid reuse after exit
+            # Late records can open states on an exited thread. Nothing
             # reaches it once superseded, so they end here as at its exit.
-            self._end_owned(retired, timestamp_ns)
+            self._end_owned(existing, timestamp_ns)
         child = Thread(pid=pid, comm=comm)
-        self.active[pid] = child
+        self.threads[pid] = child
         return child
 
     # ------------------------------------------------------------------
@@ -418,8 +397,8 @@ class ReplayEngine:
         return self._minted
 
     @property
-    def minted(self) -> list[int]:
-        """Every trace id minted so far."""
+    def minted_traces(self) -> list[int]:
+        """Every trace id minted so far, including traces already handed out."""
         return list(range(1, self._minted + 1))
 
     def _fork(self, record: TraceRecord) -> None:
@@ -443,13 +422,13 @@ class ReplayEngine:
                 self.counters["duplicate_fork"] += 1
 
     def _exit(self, record: TraceRecord) -> None:
-        thread = self.active.pop(record.pid, None)
-        if thread is None:
+        thread = self.threads.get(record.pid)
+        if thread is None or thread.exited:
             self.counters["exit_unknown_pid"] += 1
             return
         self._end_owned(thread, record.timestamp_ns)
         thread.in_syscall = None
-        self.terminated[record.pid] = thread
+        thread.exited = True
 
     def _user_event(self, record: TraceRecord) -> None:
         thread = self._thread(record)
@@ -461,24 +440,21 @@ class ReplayEngine:
 
     # ------------------------------------------------------------------
 
-    def finalize(self) -> EngineSnapshot:
-        """End still-open states, freeze the pools, and return them.
+    def finalize(self) -> ReplayEngine:
+        """End still-open states at the last timestamp seen; return self.
 
         Every trace this closes joins the completed ones, which replay()
-        hands out next; the snapshot holds every trace not yet handed out.
+        hands out next; states_by_trace holds every trace not yet handed out.
         """
         if self.finalized:
             raise RuntimeError("engine already finalized")
-        threads = [*self.active.values(), *self.terminated.values()]
-        for thread in threads:
+        for thread in self.threads.values():
             for state in list(thread.active_states.values()):
                 self._end_state(thread, state, self.last_ns, FLAG_OPEN_AT_END)
         self.finalized = True
-        return EngineSnapshot(
-            threads=threads,
-            sockets=dict(self.sockets),
-            minted_traces=self.minted,
-            states_by_trace=dict(self.states_by_trace),
-            counters=dict(self.counters),
-            unattributed=Counter(self.unattributed),
-        )
+        return self
+
+    def iter_thread_states(self) -> Iterator[State]:
+        """Every ended state the engine still holds, trace by trace."""
+        for states in self.states_by_trace.values():
+            yield from states

@@ -40,6 +40,13 @@ def ascii_decimal(text: object) -> int | None:
     return None
 
 
+def strict_int(value: object, name: str) -> int:
+    """value, which must be an int read from a document; a bool is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # Syscalls whose enter/exit tracepoints bracket TCP activity.
 SEND_SYSCALLS = frozenset(("sendto", "sendmsg", "write", "writev"))
 RECEIVE_SYSCALLS = frozenset(("recvfrom", "recvmsg", "read", "readv"))

@@ -36,6 +36,7 @@ from .records import (
     TCP_SEND_PROBES,
     Endpoint,
     TraceRecord,
+    strict_int,
 )
 from .truth import GroundTruth, SpanTruth, TraceTruth
 from .truth import compare  # noqa: F401  (importable from synth, as the benchmark does)
@@ -109,6 +110,9 @@ class TopologySpec:
                 raise InvalidTopologyError(f"user event {event!r} is structural")
             if not _NAME_RE.match(event):
                 raise InvalidTopologyError(f"user event {event!r} not a plain token")
+            # a bool is not a rate, and NaN would never end a Poisson draw
+            if type(rate) not in (int, float) or not math.isfinite(rate):
+                raise InvalidTopologyError(f"user event {event!r} rate {rate!r} is not a number")
             if rate < 0:
                 raise InvalidTopologyError(f"user event {event!r} has negative rate")
         self._check_acyclic(by_name)
@@ -163,25 +167,37 @@ class TopologySpec:
         try:
             services = tuple(
                 ServiceSpec(
-                    name=svc["name"],
+                    name=_text(svc["name"], "name"),
                     ip=svc["ip"],
-                    port=svc["port"],
+                    port=strict_int(svc["port"], "port"),
                     worker_model=svc.get("worker_model", "reuse"),
-                    calls=tuple(svc.get("calls", ())),
-                    service_time_ns=tuple(svc.get("service_time_ns", (1_000, 5_000))),
-                    pid=svc.get("pid"),
-                    child_pids=tuple(svc.get("child_pids", ())),
+                    calls=tuple(_text(call, "calls") for call in svc.get("calls", ())),
+                    service_time_ns=_ints(
+                        svc.get("service_time_ns", (1_000, 5_000)), "service_time_ns"
+                    ),
+                    pid=None if svc.get("pid") is None else strict_int(svc["pid"], "pid"),
+                    child_pids=_ints(svc.get("child_pids", ()), "child_pids"),
                 )
                 for svc in doc["services"]
             )
             return cls(
                 services=services,
-                gateway=doc["gateway"],
+                gateway=_text(doc["gateway"], "gateway"),
                 user_event_rates=dict(doc.get("user_event_rates", {})),
                 reuse_connections=bool(doc.get("reuse_connections", False)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidTopologyError(f"bad topology document: {exc}") from exc
+
+
+def _ints(values, name: str) -> tuple[int, ...]:
+    return tuple(strict_int(value, name) for value in values)
+
+
+def _text(value: object, name: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def load_topology(path: str | Path) -> TopologySpec:
@@ -372,7 +388,7 @@ class _Simulation:
             fork_span = SpanTruth(
                 kind="fork", owner_pid=child, comm=svc.name, trace_id=trace_id,
                 start_ns=fork_ts, end_ns=0, parent_index=my_index, cause=CAUSE_FORK,
-                parent_thread=listener,
+                source_thread=listener,
             )
             spans.append(fork_span)
             fork_index = len(spans) - 1

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .dag import node_identity, node_key
+from .records import strict_int
 
 
 @dataclass
@@ -25,17 +26,14 @@ class SpanTruth:
     end_ns: int
     parent_index: int | None
     cause: str | None
-    source_thread: int | None = None  # network spans
-    conn: tuple | None = None  # (src_ip, src_port, dst_ip, dst_port)
-    parent_thread: int | None = None  # fork spans
+    # The pid the trace came from: the sender, or the forking thread.
+    source_thread: int
+    conn: tuple | None = None  # (src_ip, src_port, dst_ip, dst_port); no fork has one
     tallies: dict[str, int] = field(default_factory=dict)
 
     def key(self) -> str:
         """The span's dag.node_key, equal to its reconstructed node's."""
-        if self.kind == "network":
-            identity = node_identity(self.trace_id, self.source_thread, self.conn)
-        else:
-            identity = node_identity(self.trace_id, self.parent_thread)
+        identity = node_identity(self.trace_id, self.source_thread, self.conn)
         return node_key(self.kind, self.owner_pid, identity, self.start_ns)
 
     def to_doc(self) -> dict:
@@ -54,24 +52,37 @@ class SpanTruth:
             doc["source_thread"] = self.source_thread
             doc["conn"] = list(self.conn)
         else:
-            doc["parent_thread"] = self.parent_thread
+            doc["parent_thread"] = self.source_thread
         return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> SpanTruth:
+        """A span as to_doc writes it; a value of the wrong type raises
+        ValueError, TypeError or KeyError."""
+        thread = "source_thread" if doc["kind"] == "network" else "parent_thread"
+        conn, parent_index, tallies = doc.get("conn"), doc["parent_index"], doc["tallies"]
+        if conn is not None:
+            src_ip, src_port, dst_ip, dst_port = conn
+            conn = (src_ip, strict_int(src_port, "conn port"),
+                    dst_ip, strict_int(dst_port, "conn port"))
+        if parent_index is not None:
+            parent_index = strict_int(parent_index, "parent_index")
+        if not (doc["cause"] is None or type(doc["cause"]) is str):
+            raise ValueError(f"cause must be a string or null, got {doc['cause']!r}")
+        if type(tallies) is not dict:
+            raise ValueError(f"tallies must be an object, got {tallies!r}")
         return cls(
             kind=doc["kind"],
-            owner_pid=doc["owner_pid"],
+            owner_pid=strict_int(doc["owner_pid"], "owner_pid"),
             comm=doc["comm"],
-            trace_id=doc["trace_id"],
-            start_ns=doc["start_ns"],
-            end_ns=doc["end_ns"],
-            parent_index=doc["parent_index"],
+            trace_id=strict_int(doc["trace_id"], "trace_id"),
+            start_ns=strict_int(doc["start_ns"], "start_ns"),
+            end_ns=strict_int(doc["end_ns"], "end_ns"),
+            parent_index=parent_index,
             cause=doc["cause"],
-            source_thread=doc.get("source_thread"),
-            conn=tuple(doc["conn"]) if "conn" in doc else None,
-            parent_thread=doc.get("parent_thread"),
-            tallies=dict(doc.get("tallies", {})),
+            source_thread=strict_int(doc[thread], thread),
+            conn=conn,
+            tallies={event: strict_int(tallies[event], event) for event in tallies},
         )
 
 
@@ -93,7 +104,7 @@ class GroundTruth:
     def fork_edges(self) -> list[tuple[int, int]]:
         """(forking thread, child) of every fork span, in trace and span order."""
         return [
-            (span.parent_thread, span.owner_pid)
+            (span.source_thread, span.owner_pid)
             for trace in self.traces
             for span in trace.spans
             if span.kind == "fork"
@@ -121,12 +132,18 @@ class GroundTruth:
 
     @classmethod
     def from_doc(cls, doc: dict) -> GroundTruth:
-        return cls(
-            traces=[
-                TraceTruth(t["trace_id"], [SpanTruth.from_doc(s) for s in t["spans"]])
-                for t in doc["traces"]
-            ]
-        )
+        """Truth as to_doc writes it. Each span's parent_index must be None
+        or the index of an earlier span of its trace."""
+        traces = []
+        for trace in doc["traces"]:
+            spans = [SpanTruth.from_doc(span) for span in trace["spans"]]
+            for index, span in enumerate(spans):
+                if span.parent_index is not None and not 0 <= span.parent_index < index:
+                    raise ValueError(
+                        f"span {index}: parent_index {span.parent_index} is not an earlier span"
+                    )
+            traces.append(TraceTruth(strict_int(trace["trace_id"], "trace_id"), spans))
+        return cls(traces=traces)
 
 
 @dataclass

@@ -64,7 +64,7 @@ def random_runs():
                 "seed": seed,
                 "requests": requests,
                 "empty": report.empty,
-                "minted": list(engine.minted),
+                "minted": list(engine.minted_traces),
                 "external_arrivals": truth.external_arrivals,
                 "event_totals": dict(truth.event_totals),
                 "reconstructed_tallies": dict(reconstructed_tallies),
@@ -189,7 +189,7 @@ def test_criterion_06_damaged_captures_degrade_gracefully():
         cut = (5_000_000_000 + last) // 2
         faulted, _m2 = inject_faults(faulted, FaultMode.truncate(cut), seed=8)
         engine, dags = reconstruct(faulted, topology)  # validates every dag
-        assert len(dags) == len(engine.minted)
+        assert len(dags) == len(engine.minted_traces)
     _line(6, "fault injection degrades tallies or diagnostics, never validity")
 
 

@@ -1,7 +1,7 @@
 """The benchmark's traced pass (bench/traced.py) is the only program that
-reconstructs through the engine's snapshot: handle() per record, then
-finalize() and build_all_dags(). It must keep writing what `reqflow
-reconstruct` writes, and keep reading the snapshot's pool sizes."""
+reconstructs through handle() per record, then finalize() and
+build_all_dags(). It must keep writing what `reqflow reconstruct` writes,
+and keep reading the pool sizes of the engine finalize() returns."""
 
 from __future__ import annotations
 

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from reqflow import cli as cli_module
 from reqflow import engine as engine_module
 from reqflow.cli import main
 from reqflow.dag import build_all_dags, export_json, render_gantt, render_summary, summarize
 from reqflow.engine import ReplayEngine
 from reqflow.ingest import merge_streams, read_stream
 from reqflow.records import Endpoint
+from reqflow.synth import demo_topology
 
 GOLDEN = Path(__file__).parent / "golden"
 GATEWAY_FLAGS = ["--gateway", "10.1.0.2:80"]
@@ -424,6 +426,76 @@ def test_inconsistent_dag_document_fails_without_traceback(
     captured = capsys.readouterr()
     assert captured.err.startswith(f"reqflow: bad dag document {bad}: ")
     assert captured.out == ""
+
+
+def _span(key, value, index=0):
+    def damage(doc):
+        doc["traces"][0]["spans"][index][key] = value
+        return doc
+    return damage
+
+
+BAD_TRUTH_DOCS = {
+    "trace_id_a_list": lambda doc: {**doc, "traces": [{**doc["traces"][0], "trace_id": [1]}]},
+    "traces_an_int": lambda doc: {**doc, "traces": 5},
+    "conn_an_int": _span("conn", 7),
+    "parent_index_out_of_range": _span("parent_index", 99, index=1),
+    "parent_index_not_earlier": _span("parent_index", 1, index=1),
+    "start_ns_a_string": _span("start_ns", "5"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_TRUTH_DOCS))
+def test_inconsistent_truth_file_is_a_usage_error(tmp_path, capsys, demo_trace, damage):
+    doc, truth = demo_trace
+    dag = tmp_path / "trace_1.json"
+    dag.write_text(json.dumps(doc))
+    bad = tmp_path / "truth.json"
+    bad.write_text(json.dumps(BAD_TRUTH_DOCS[damage](json.loads(Path(truth).read_text()))))
+    assert main(["diff", str(dag), "--truth", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"reqflow: bad truth file {bad}: ")
+    assert captured.out == ""
+
+
+def _service(key, value):
+    def damage(doc):
+        doc["services"][0][key] = value
+        return doc
+    return damage
+
+
+BAD_TOPOLOGY_DOCS = {
+    "port_a_string": _service("port", "80"),
+    "pid_a_string": _service("pid", "7"),
+    "child_pids_a_bool": _service("child_pids", [True]),
+    "service_time_a_string": _service("service_time_ns", [1, "x"]),
+    "name_a_list": _service("name", ["nginx"]),
+    "calls_a_list": _service("calls", [["home-timeline-redis"]]),
+    "gateway_a_list": lambda doc: {**doc, "gateway": []},
+    "rate_a_string": lambda doc: {**doc, "user_event_rates": {"page_fault_user": "2"}},
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_TOPOLOGY_DOCS))
+def test_inconsistent_topology_is_a_usage_error(tmp_path, capsys, damage):
+    topology = tmp_path / "topology.json"
+    doc = json.loads(json.dumps(demo_topology().to_doc()))
+    topology.write_text(json.dumps(BAD_TOPOLOGY_DOCS[damage](doc)))
+    out = tmp_path / "capture"
+    assert main(["synth", "--topology", str(topology), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("reqflow: ")
+    assert not out.exists()
+
+
+def test_bad_fault_probability_fails_before_simulating(tmp_path, capsys, monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before the fault modes were checked")
+    monkeypatch.setattr(cli_module, "simulate", simulate)
+    out = tmp_path / "capture"
+    assert main(["synth", "--demo", "--drop-user", "1.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "reqflow: probability must be within [0, 1]\n"
+    assert not out.exists()
 
 
 def test_argparse_usage_errors_exit_2(tmp_path):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 import statistics
-from collections import Counter
 
 import pytest
 
@@ -21,7 +20,7 @@ from reqflow.dag import (
     summarize,
     validate_dag,
 )
-from reqflow.engine import EXTERNAL_THREAD, EngineSnapshot, State, Tcp4Tuple
+from reqflow.engine import EXTERNAL_THREAD, ReplayEngine, State, Tcp4Tuple
 from reqflow.records import Endpoint
 
 
@@ -51,22 +50,20 @@ def _thread(pid, comm, *states) -> list:
     return list(states)
 
 
-def _snap(minted, threads) -> EngineSnapshot:
+def _by_trace(minted, threads) -> dict[int, list[State]]:
+    """The threads' ended states grouped per trace, as the engine keeps them."""
     grouped = {trace_id: [] for trace_id in minted}
     for states in threads:
         for state in states:
             grouped[state.trace_id].append(state)
-    return EngineSnapshot(
-        threads=[], sockets={}, minted_traces=minted, states_by_trace=grouped,
-        counters={}, unattributed=Counter(),
-    )
+    return grouped
 
 
 def test_two_hop_chain_builds_expected_edges():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
     child = _net(2, 1, 1, 150, 300, sport=41_000, dport=9_000, parents=(root,))
-    snapshot = _snap([1], [_thread(1, "gw", root), _thread(2, "svc", child)])
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    ended = _by_trace([1], [_thread(1, "gw", root), _thread(2, "svc", child)])
+    dag = build_trace(1, ended[1])
     validate_dag(dag)
     assert len(dag.nodes) == 2
     assert dag.nodes[0].state_id == dag.root_id
@@ -79,11 +76,11 @@ def test_state_without_recorded_parent_is_orphaned():
     late = _net(2, 1, 1, 250, 300, sport=41_000, dport=9_000)  # no parents
     # its child is unreachable too, and the edge between them is not exported
     late_child = _fork(3, 2, 1, 260, 290, parents=(late,))
-    snapshot = _snap(
+    ended = _by_trace(
         [1],
         [_thread(1, "gw", root), _thread(2, "svc", late), _thread(3, "w", late_child)],
     )
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    dag = build_trace(1, ended[1])
     validate_dag(dag)
     assert len(dag.nodes) == 1
     assert [node.owner_pid for node in dag.orphans] == [2, 3]
@@ -94,8 +91,8 @@ def test_state_without_recorded_parent_is_orphaned():
 def test_fork_edge_carries_fork_cause():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
     worker = _fork(42, 1, 1, 150, 350, parents=(root,))
-    snapshot = _snap([1], [_thread(1, "gw", root), _thread(42, "worker", worker)])
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    ended = _by_trace([1], [_thread(1, "gw", root), _thread(42, "worker", worker)])
+    dag = build_trace(1, ended[1])
     validate_dag(dag)
     assert [cause for _, _, cause in dag.edges] == [CAUSE_FORK]
     fork_node = next(node for node in dag.nodes if node.kind == "fork")
@@ -111,7 +108,7 @@ def test_node_with_two_recorded_parents_gets_both_edges():
     downstream = _net(
         3, 2, 1, 200, 300, sport=42_000, dport=9_100, parents=(forked, received)
     )
-    snapshot = _snap(
+    ended = _by_trace(
         [1],
         [
             _thread(1, "gw", root),
@@ -119,7 +116,7 @@ def test_node_with_two_recorded_parents_gets_both_edges():
             _thread(3, "leaf", downstream),
         ],
     )
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    dag = build_trace(1, ended[1])
     validate_dag(dag)
     leaf_id = next(n.state_id for n in dag.nodes if n.owner_pid == 3)
     incoming = [edge for edge in dag.edges if edge[1] == leaf_id]
@@ -129,17 +126,19 @@ def test_node_with_two_recorded_parents_gets_both_edges():
 
 def test_trace_without_arrival_state_fails():
     lonely = _net(2, 1, 5, 100, 200)
-    snapshot = _snap([5], [_thread(2, "svc", lonely)])
+    ended = _by_trace([5], [_thread(2, "svc", lonely)])
     with pytest.raises(DagValidationError, match="no arrival state"):
-        build_trace(5, snapshot.states_by_trace[5])
+        build_trace(5, ended[5])
 
 
 def test_build_all_dags_yields_in_mint_order(demo_run):
     _streams, truth, engine, _dags = demo_run
     arrivals = [[_net(1, EXTERNAL_THREAD, trace, 100, 400)] for trace in (3, 1, 2)]
-    snapshot = _snap([1, 2, 3], arrivals)
-    assert [dag.trace_id for dag in build_all_dags(snapshot)] == [1, 2, 3]
-    assert [trace.trace_id for trace in truth.traces] == engine.minted
+    ended = _by_trace([1, 2, 3], arrivals)
+    holder = ReplayEngine([Endpoint("10.0.0.9", 80)])
+    holder.states_by_trace = ended
+    assert [dag.trace_id for dag in build_all_dags(holder)] == [1, 2, 3]
+    assert [trace.trace_id for trace in truth.traces] == engine.minted_traces
 
 
 def test_export_is_canonical_and_input_order_free():
@@ -156,8 +155,8 @@ def test_export_is_canonical_and_input_order_free():
     for _ in range(6):
         shuffled = threads[:]
         rng.shuffle(shuffled)
-        snapshot = _snap([1], shuffled)
-        exports.add(export_json(build_trace(1, snapshot.states_by_trace[1])))
+        ended = _by_trace([1], shuffled)
+        exports.add(export_json(build_trace(1, ended[1])))
     assert len(exports) == 1
     text = exports.pop()
     assert text.endswith("\n")
@@ -171,8 +170,8 @@ def test_doc_round_trip_preserves_everything():
     root.tallies.update({"page_fault_user": 3})
     worker = _fork(42, 1, 1, 150, 350, parents=(root,))
     worker.flags.add("open_at_end")
-    snapshot = _snap([1], [_thread(1, "gw", root), _thread(42, "w", worker)])
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    ended = _by_trace([1], [_thread(1, "gw", root), _thread(42, "w", worker)])
+    dag = build_trace(1, ended[1])
     clone = RequestDag.from_doc(json.loads(export_json(dag)))
     assert export_json(clone) == export_json(dag)
     assert clone.node_by_id().keys() == dag.node_by_id().keys()
@@ -182,8 +181,8 @@ def test_identical_states_still_get_distinct_ids():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 400, sport=50_001)
     twin_a = _net(2, 1, 1, 150, 300, parents=(root,))
     twin_b = _net(2, 1, 1, 150, 300, parents=(root,))
-    snapshot = _snap([1], [_thread(1, "gw", root), _thread(2, "svc", twin_a, twin_b)])
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    ended = _by_trace([1], [_thread(1, "gw", root), _thread(2, "svc", twin_a, twin_b)])
+    dag = build_trace(1, ended[1])
     ids = [node.state_id for node in dag.nodes]
     assert len(ids) == len(set(ids)) == 3
 
@@ -233,11 +232,11 @@ def test_gantt_rows_have_fixed_width_bars():
     root = _net(1, EXTERNAL_THREAD, 1, 1_000, 2_000)
     child = _net(2, 1, 1, 1_250, 1_500, sport=41_000, dport=9_000, parents=(root,))
     late = _net(3, 1, 1, 2_500, 3_000, sport=43_000, dport=9_200)  # orphan
-    snapshot = _snap(
+    ended = _by_trace(
         [1],
         [_thread(1, "gw", root), _thread(2, "svc", child), _thread(3, "x", late)],
     )
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    dag = build_trace(1, ended[1])
     text = render_gantt(dag, width=60)
     lines = text.splitlines()
     assert lines[0].startswith("trace 1  window 1000..3000 ns")
@@ -268,7 +267,7 @@ def test_gantt_indents_children_and_renders_multi_parent_once():
     downstream = _net(
         3, 2, 1, 200, 300, sport=42_000, dport=9_100, parents=(forked, received)
     )
-    snapshot = _snap(
+    ended = _by_trace(
         [1],
         [
             _thread(1, "gw", root),
@@ -276,7 +275,7 @@ def test_gantt_indents_children_and_renders_multi_parent_once():
             _thread(3, "leaf", downstream),
         ],
     )
-    dag = build_trace(1, snapshot.states_by_trace[1])
+    dag = build_trace(1, ended[1])
     text = render_gantt(dag, width=40)
     assert text.count("pid=3") == 1  # two parents, drawn once
     rows = [line for line in text.splitlines() if "pid=" in line]
@@ -297,22 +296,22 @@ def test_summary_math_matches_hand_computation():
         dag_with_span(2, 0, 250, {"page_fault_user": 5}),
         dag_with_span(3, 10, 40, {}),
     ]
-    summary = summarize(dags)
-    spans = [row["span_ns"] for row in summary["traces"]]
+    rows = summarize(dags)
+    spans = [row["span_ns"] for row in rows]
     assert spans == [100, 250, 30]
-    agg = summary["aggregate"]
-    assert agg["traces"] == 3
-    assert agg["span_ns_min"] == 30
-    assert agg["span_ns_max"] == 250
-    assert agg["span_ns_median"] == statistics.median(spans)
-    assert agg["event_totals"] == {"page_fault_user": 7}
-    text = render_summary(summary)
-    assert "trace" in text.splitlines()[0]
-    assert "page_fault_user" in text.splitlines()[0]
-    assert "traces=3" in text
-    assert text.endswith("\n")
+    assert statistics.median(spans) == 100
+    lines = render_summary(rows).splitlines()
+    assert lines == [
+        "trace  span_ns  nodes  page_fault_user",
+        "1      100      1      2",
+        "2      250      1      5",
+        "3      30       1      0",
+        "",
+        "traces=3 span_ns min=30 median=100 max=250",
+        "event totals: page_fault_user=7",
+    ]
 
 
-def test_summary_requires_at_least_one_dag():
-    with pytest.raises(ValueError):
-        summarize([])
+def test_summary_of_no_dags_reads_traces_0():
+    assert summarize([]) == []
+    assert render_summary([]) == "traces 0\n"

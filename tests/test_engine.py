@@ -82,12 +82,12 @@ def replayed(script: Script, user_events=()) -> dict[int, RequestDag]:
         assert trace_id not in dags
         dags[trace_id] = build_trace(trace_id, states)
         validate_dag(dags[trace_id])
-    assert sorted(dags) == engine.minted
+    assert sorted(dags) == engine.minted_traces
     return dags
 
 
 def _ended(store, pid: int) -> list:
-    """The ended states owned by pid in an engine's or snapshot's per-trace store."""
+    """The ended states owned by pid in an engine's per-trace store."""
     return [
         state
         for states in store.states_by_trace.values()
@@ -113,8 +113,8 @@ def test_gateway_arrival_mints_sequential_ids():
     script.recv(1, "gw", GW, CLIENT_1)
     script.recv(1, "gw", GW, CLIENT_2)
     engine = run(script)
-    assert engine.minted == [1, 2]
-    states = engine.active[1].active_states
+    assert engine.minted_traces == [1, 2]
+    states = engine.threads[1].active_states
     assert len(states) == 2
     for state in states.values():
         assert state.kind == "network"
@@ -126,9 +126,9 @@ def test_non_gateway_arrival_does_not_mint():
     script = Script()
     script.recv(2, "svc", SVC_B, CLIENT_1)
     engine = run(script)
-    assert engine.minted == []
+    assert engine.minted_traces == []
     assert engine.counters["receive_on_unknown_socket"] == 1
-    assert not engine.active[2].active_states
+    assert not engine.threads[2].active_states
 
 
 def test_send_propagates_active_trace_to_receiver():
@@ -137,8 +137,8 @@ def test_send_propagates_active_trace_to_receiver():
     sent = script.send(1, "gw", A_TO_B, SVC_B)
     got = script.recv(2, "svc", SVC_B, A_TO_B)
     engine = run(script)
-    assert engine.minted == [1]
-    downstream = list(engine.active[2].active_states.values())
+    assert engine.minted_traces == [1]
+    downstream = list(engine.threads[2].active_states.values())
     assert len(downstream) == 1
     state = downstream[0]
     assert state.trace_id == 1
@@ -153,7 +153,7 @@ def test_response_send_ends_the_span():
     script.recv(1, "gw", GW, CLIENT_1)
     done = script.send(1, "gw", GW, CLIENT_1)  # back to the requester
     engine = run(script)
-    thread = engine.active[1]
+    thread = engine.threads[1]
     assert not thread.active_states
     assert len(_ended(engine, 1)) == 1
     state = _ended(engine, 1)[0]
@@ -169,7 +169,7 @@ def test_keep_alive_connection_mints_again_after_response():
     script.send(1, "gw", GW, CLIENT_1)
     script.recv(1, "gw", GW, CLIENT_1)  # same 4-tuple, next request
     engine = run(script)
-    assert engine.minted == [1, 2]
+    assert engine.minted_traces == [1, 2]
     assert engine.counters.get("duplicate_receive", 0) == 0
 
 
@@ -178,7 +178,7 @@ def test_second_receive_of_inflight_external_request_is_duplicate():
     script.recv(1, "gw", GW, CLIENT_1)
     script.recv(1, "gw", GW, CLIENT_1)  # no response in between
     engine = run(script)
-    assert engine.minted == [1]
+    assert engine.minted_traces == [1]
     assert engine.counters["duplicate_receive"] == 1
 
 
@@ -189,7 +189,7 @@ def test_send_with_two_active_traces_propagates_both():
     script.send(1, "gw", A_TO_B, SVC_B)
     got = script.recv(2, "svc", SVC_B, A_TO_B)
     engine = run(script)
-    states = list(engine.active[2].active_states.values())
+    states = list(engine.threads[2].active_states.values())
     assert sorted(state.trace_id for state in states) == [1, 2]
     assert all(state.start_ns == got for state in states)
 
@@ -201,7 +201,7 @@ def test_repeated_inflight_receive_downstream_is_duplicate():
     script.recv(2, "svc", SVC_B, A_TO_B)
     script.recv(2, "svc", SVC_B, A_TO_B)  # same in-flight request again
     engine = run(script)
-    assert len(engine.active[2].active_states) == 1
+    assert len(engine.threads[2].active_states) == 1
     assert engine.counters["duplicate_receive"] == 1
 
 
@@ -215,7 +215,7 @@ def test_response_matching_two_spans_ends_first_created():
     script.recv(2, "svc", SVC_B, A_TO_B)
     done = script.send(2, "svc", SVC_B, A_TO_B)
     engine = run(script)
-    thread = engine.active[2]
+    thread = engine.threads[2]
     assert engine.counters["multi_match_response"] == 1
     assert len(_ended(engine, 2)) == 1
     assert _ended(engine, 2)[0].trace_id == 1  # propagation order is sorted
@@ -235,7 +235,7 @@ def test_probe_outside_tracked_syscall_is_orphaned():
               saddr=GW.ip, sport=GW.port, daddr=CLIENT_1.ip, dport=CLIENT_1.port)
     engine = run(script)
     assert engine.counters["orphan_probe"] == 3
-    assert engine.minted == []
+    assert engine.minted_traces == []
     assert not engine.sockets
 
 
@@ -255,8 +255,8 @@ def test_nested_syscall_enter_is_counted_and_latest_wins():
                    saddr=GW.ip, sport=GW.port, daddr=CLIENT_1.ip, dport=CLIENT_1.port)
     engine = run(script)
     assert engine.counters["nested_syscall_enter"] == 1
-    assert engine.minted == [1]  # the receive inside sys_enter_read counted
-    assert engine.active[1].active_states
+    assert engine.minted_traces == [1]  # the receive inside sys_enter_read counted
+    assert engine.threads[1].active_states
 
 
 def test_fork_copies_each_active_trace_onto_child():
@@ -266,7 +266,7 @@ def test_fork_copies_each_active_trace_onto_child():
     forked = script.at(1, "gw", "sched_process_fork",
                        child_comm="worker", child_pid=42)
     engine = run(script)
-    child = engine.active[42]
+    child = engine.threads[42]
     assert child.comm == "worker"
     states = list(child.active_states.values())
     assert sorted(state.trace_id for state in states) == [1, 2]
@@ -289,9 +289,9 @@ def test_states_record_the_senders_active_states_of_their_trace():
     script.recv(2, "svc", SVC_B, A2_TO_B)
     script.at(2, "svc", "sched_process_fork", child_comm="w", child_pid=42)
     engine = run(script)
-    gw = engine.active[1].active_by_trace()
-    svc = engine.active[2].active_by_trace()
-    child = engine.active[42].active_by_trace()
+    gw = engine.threads[1].active_by_trace()
+    svc = engine.threads[2].active_by_trace()
+    child = engine.threads[42].active_by_trace()
     assert list(gw) == list(svc) == list(child) == [1, 2]
     for trace_id in (1, 2):
         (arrival,) = gw[trace_id]
@@ -316,7 +316,7 @@ def test_fork_tied_with_a_later_receive_records_only_earlier_states():
     tied = script.recv(2, "svc", SVC_B, A2_TO_B)
     assert tied == forked
     engine = run(script)
-    assert len(engine.active[2].active_states) == 2
+    assert len(engine.threads[2].active_states) == 2
     (dag,) = replayed(script).values()
     child_id = next(node.state_id for node in dag.nodes if node.owner_pid == 42)
     assert len([edge for edge in dag.edges if edge[1] == child_id]) == 1
@@ -353,7 +353,7 @@ def test_fork_chain_reaches_grandchild():
     script.at(1, "gw", "sched_process_fork", child_comm="c", child_pid=42)
     script.at(42, "c", "sched_process_fork", child_comm="gc", child_pid=43)
     engine = run(script)
-    grandchild = list(engine.active[43].active_states.values())
+    grandchild = list(engine.threads[43].active_states.values())
     assert len(grandchild) == 1
     assert grandchild[0].trace_id == 1
     assert grandchild[0].source_thread == 42
@@ -376,7 +376,7 @@ def test_fork_naming_live_pid_and_repeated_fork_are_counted():
     engine = run(script)
     assert engine.counters["fork_existing_pid"] == 1
     assert engine.counters["duplicate_fork"] == 1
-    assert len(engine.active[42].active_states) == 1
+    assert len(engine.threads[42].active_states) == 1
 
 
 def test_exit_ends_states_and_flags_only_network_spans():
@@ -387,8 +387,8 @@ def test_exit_ends_states_and_flags_only_network_spans():
     script.recv(42, "c", SVC_B, A_TO_B)  # network span on the child
     gone = script.at(42, "c", "sched_process_exit")
     engine = run(script)
-    child = engine.terminated[42]
-    assert 42 not in engine.active
+    child = engine.threads[42]
+    assert child.exited
     assert not child.active_states
     by_kind = {state.kind: state for state in _ended(engine, 42)}
     assert by_kind["fork"].end_ns == gone
@@ -402,7 +402,22 @@ def test_exit_of_unknown_pid_is_counted():
     script.at(7, "x", "sched_process_exit")
     engine = run(script)
     assert engine.counters["exit_unknown_pid"] == 1
-    assert 7 not in engine.terminated
+    assert 7 not in engine.threads
+
+
+def test_exited_thread_takes_late_records_but_no_second_exit():
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    script.at(1, "gw", "sched_process_fork", child_comm="c", child_pid=42)
+    script.at(42, "c", "sched_process_exit")
+    script.at(42, "c", "sched_process_exit")
+    script.at(42, "c", "page_fault_user")
+    engine = run(script, user_events=("page_fault_user",))
+    assert engine.counters["exit_unknown_pid"] == 1
+    assert engine.unattributed == {"page_fault_user": 1}
+    assert engine.threads[42].exited
+    (fork,) = _ended(engine, 42)
+    assert not fork.tallies
 
 
 def test_pid_reuse_after_exit_spawns_fresh_thread():
@@ -412,8 +427,8 @@ def test_pid_reuse_after_exit_spawns_fresh_thread():
     script.at(42, "c", "sched_process_exit")
     script.at(1, "gw", "sched_process_fork", child_comm="c2", child_pid=42)
     engine = run(script)
-    assert engine.active[42].comm == "c2"
-    assert 42 not in engine.terminated
+    assert engine.threads[42].comm == "c2"
+    assert not engine.threads[42].exited
     # the first generation's state survives reuse next to the second's
     (dag,) = replayed(script).values()
     first, second = [node for node in dag.nodes if node.owner_pid == 42]
@@ -448,7 +463,7 @@ def test_user_events_tally_into_every_active_span():
     script.at(1, "gw", "page_fault_user")
     script.at(2, "idle", "page_fault_user")  # no active span anywhere
     engine = run(script, user_events=("page_fault_user",))
-    for state in engine.active[1].active_states.values():
+    for state in engine.threads[1].active_states.values():
         assert state.tallies["page_fault_user"] == 2
     assert engine.unattributed == {"page_fault_user": 1}
 
@@ -459,7 +474,7 @@ def test_unconfigured_events_are_ignored_not_tallied():
     script.at(1, "gw", "page_fault_user")
     engine = run(script)  # no user events configured
     assert engine.counters["ignored_events"] == 1
-    state = next(iter(engine.active[1].active_states.values()))
+    state = next(iter(engine.threads[1].active_states.values()))
     assert not state.tallies
 
 
@@ -469,9 +484,8 @@ def test_finalize_flags_open_states_and_clamps_end():
     script.ts = start - 500  # the response carries an older timestamp
     script.send(1, "gw", GW, CLIENT_1)
     script.recv(1, "gw", GW, CLIENT_2)
-    engine = run(script)
-    snapshot = engine.finalize()
-    answered, still_open = _ended(snapshot, 1)
+    engine = run(script).finalize()
+    answered, still_open = _ended(engine, 1)
     assert answered.end_ns == start  # never before its own start
     assert not answered.flags
     assert still_open.flags == {FLAG_OPEN_AT_END}
@@ -540,9 +554,9 @@ def test_receive_after_sender_pid_reuse_takes_nothing_from_the_new_thread():
     script.at(1, "gw", "sched_process_fork", child_comm="w", child_pid=7)
     script.recv(2, "svc", SVC_B, A_TO_B)
     engine = run(script)
-    assert engine.minted == [1, 2]
-    assert sorted(s.trace_id for s in engine.active[7].active_states.values()) == [1, 2]
-    assert not engine.active[2].active_states
+    assert engine.minted_traces == [1, 2]
+    assert sorted(s.trace_id for s in engine.threads[7].active_states.values()) == [1, 2]
+    assert not engine.threads[2].active_states
     assert engine.counters.get("duplicate_receive", 0) == 0
 
 
@@ -552,7 +566,7 @@ def test_node_keeps_the_comm_its_thread_had_when_the_span_began():
     script.at(1, "gw", "sched_process_fork", child_comm="worker", child_pid=42)
     script.at(42, "renamed", "sys_enter_read")  # e.g. after an exec
     engine = run(script)
-    assert engine.active[42].comm == "renamed"
+    assert engine.threads[42].comm == "renamed"
     (dag,) = replayed(script).values()
     fork_node = next(node for node in dag.nodes if node.kind == "fork")
     assert fork_node.comm == "worker"
@@ -575,5 +589,5 @@ def test_completed_trace_is_taken_once_and_forgotten(monkeypatch):
         handed.append((trace_id, engine.finalized, owners))
     # trace 1 during replay, trace 2 only once finalize() closes it
     assert handed == [(1, False, [1, 2]), (2, True, [1])]
-    assert engine.minted == [1, 2]
+    assert engine.minted_traces == [1, 2]
     assert engine.states_by_trace == {}

@@ -89,13 +89,13 @@ def test_any_stream_replays_into_valid_dags_without_orphans(steps):
         dag = build_trace(trace_id, states)
         validate_dag(dag)
         assert not dag.orphans
-    assert sorted(handed) == engine.minted
+    assert sorted(handed) == engine.minted_traces
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(STEPS)
 def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps):
-    # The reference builds every trace at once from the final snapshot.
+    # The reference builds every trace at once from the finalized engine.
     batch = _engine()
     for record in _records(steps):
         batch.handle(record)
@@ -110,7 +110,7 @@ def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps)
             streamed[trace_id] = export_json(build_trace(trace_id, states))
             # a yielded trace has no state left in the engine, active or ended
             assert not streamed.keys() & engine.states_by_trace.keys()
-            for thread in (*engine.active.values(), *engine.terminated.values()):
+            for thread in engine.threads.values():
                 assert not streamed.keys() & thread.active_by_trace().keys()
-    assert sorted(streamed) == batch.minted == engine.minted
+    assert sorted(streamed) == batch.minted_traces == engine.minted_traces
     assert [streamed[trace_id] for trace_id in sorted(streamed)] == expected

@@ -1,0 +1,48 @@
+"""README's Layout section lists, module by module, where each public name
+lives. Every name it lists must exist in the module its bullet names."""
+
+from __future__ import annotations
+
+import importlib
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _layout_bullets() -> dict[str, str]:
+    """The text of each `X.py` bullet of the Layout section, by module."""
+    section = README.read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for bullet in re.split(r"\n(?=- )", section):
+        match = re.match(r"- `(\w+)\.py`:(.*)", bullet, re.DOTALL)
+        if match:
+            bullets[match[1]] = match[2].split("\n\n", 1)[0]
+    return bullets
+
+
+def _resolves(module, name: str) -> bool:
+    """A name, Class.attr (a dataclass field counts), a call form by the
+    name before its '(', or a PREFIX_* pattern matching at least one name."""
+    name = name.split("(", 1)[0]
+    if name.endswith("*"):
+        return any(attr.startswith(name[:-1]) for attr in vars(module))
+    *path, last = name.split(".")
+    holder = module
+    for part in path:
+        holder = getattr(holder, part, None)
+        if holder is None:
+            return False
+    return hasattr(holder, last) or last in getattr(holder, "__dataclass_fields__", {})
+
+
+def test_every_name_in_the_layout_resolves_in_its_module():
+    bullets = _layout_bullets()
+    assert {"records", "ingest", "engine", "dag", "synth", "truth", "cli"} <= bullets.keys()
+    missing = [
+        f"{module}.py: {name}"
+        for module, text in sorted(bullets.items())
+        for name in re.findall(r"`([^`]+)`", text)
+        if not _resolves(importlib.import_module(f"reqflow.{module}"), "".join(name.split()))
+    ]
+    assert missing == []

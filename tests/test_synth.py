@@ -66,6 +66,10 @@ def test_valid_topology_passes():
             _topology(_svc("a", 80), user_event_rates={"page_fault_user": -1.0}),
             "negative rate",
         ),
+        (
+            _topology(_svc("a", 80), user_event_rates={"page_fault_user": float("nan")}),
+            "not a number",
+        ),
     ],
 )
 def test_invalid_topologies_are_rejected(topology, message):
