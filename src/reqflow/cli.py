@@ -40,7 +40,7 @@ from .ingest import (
     merge_streams,
     read_stream,
 )
-from .records import Endpoint, ascii_decimal
+from .records import Endpoint, ascii_decimal, check_types, read_json
 from .synth import (
     FaultMode,
     InvalidTopologyError,
@@ -88,18 +88,7 @@ _CONFIG_TYPES = {
 
 
 def _load_config(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a json object")
-    for key, (kind, item) in _CONFIG_TYPES.items():
-        if key not in doc:
-            continue
-        value = doc[key]
-        # type(), not isinstance(): a bool is not an int
-        if type(value) is not kind or (item and any(type(v) is not item for v in value)):
-            of = f" of {item.__name__}" if item else ""
-            raise ValueError(f"{key} must be a {kind.__name__}{of}, got {value!r}")
-    return doc
+    return check_types(read_json(path), _CONFIG_TYPES, required=False)
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -229,12 +218,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         manifest.extend(dropped)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = write_streams(streams, out, args.backend)
-    _write_json(out / "truth.json", truth.to_doc())
-    _write_json(out / "topology.json", topology.to_doc())
-    if faults:
-        _write_json(out / "fault_manifest.json", manifest)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        paths = write_streams(streams, out, args.backend)
+        _write_json(out / "truth.json", truth.to_doc())
+        _write_json(out / "topology.json", topology.to_doc())
+        if faults:
+            _write_json(out / "fault_manifest.json", manifest)
+    except OSError as exc:
+        return _fail(f"cannot use output directory: {exc}", 2)
     total = sum(len(stream) for stream in streams)
     print(f"wrote {total} records across {len(paths)} streams -> {out}")
     return 0
@@ -261,14 +253,14 @@ _BAD_DOC = (OSError, ValueError, KeyError, TypeError)
 
 def _load_dag(path: Path) -> RequestDag:
     """A dag document, held to the shape reconstruct writes."""
-    dag = RequestDag.from_doc(json.loads(path.read_text()))
+    dag = RequestDag.from_doc(read_json(path))
     validate_dag(dag)
     return dag
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     try:
-        truth = GroundTruth.from_doc(json.loads(Path(args.truth).read_text()))
+        truth = GroundTruth.from_doc(read_json(args.truth))
     except _BAD_DOC as exc:
         return _fail(f"bad truth file {args.truth}: {exc}", 2)
     docs = []

@@ -12,6 +12,9 @@ diagnostics.orphans, never attached heuristically and never dropped.
 
 build_trace builds one trace from its states alone, so each trace
 ReplayEngine.replay() yields can be built, written and freed at once.
+
+A node is a plain dict, the very document the export writes, and
+RequestDag.from_doc checks each node it reads against _NODE_TYPES.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .engine import EXTERNAL_THREAD, ReplayEngine, State
-from .records import strict_int
+from .records import check_types
 
 SCHEMA_VERSION = "1"
 
@@ -42,45 +45,19 @@ class DagValidationError(ValueError):
     pass
 
 
-@dataclass
-class DagNode:
-    state_id: str
-    kind: str
-    owner_pid: int
-    comm: str
-    start_ns: int
-    end_ns: int
-    flags: list[str]
-    identity: dict
-    event_tallies: dict[str, int]
-
-    def to_doc(self) -> dict:
-        return {
-            "state_id": self.state_id,
-            "kind": self.kind,
-            "owner_pid": self.owner_pid,
-            "comm": self.comm,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "flags": list(self.flags),
-            "identity": self.identity,
-            "event_tallies": dict(sorted(self.event_tallies.items())),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> DagNode:
-        tallies = doc["event_tallies"]
-        return cls(
-            state_id=doc["state_id"],
-            kind=doc["kind"],
-            owner_pid=strict_int(doc["owner_pid"], "owner_pid"),
-            comm=doc["comm"],
-            start_ns=strict_int(doc["start_ns"], "start_ns"),
-            end_ns=strict_int(doc["end_ns"], "end_ns"),
-            flags=list(doc["flags"]),
-            identity=dict(doc["identity"]),
-            event_tallies={event: strict_int(tallies[event], event) for event in tallies},
-        )
+# The keys and types of a node document: build_trace writes each node as
+# such a dict, and from_doc checks each node it reads against this table.
+_NODE_TYPES = {
+    "state_id": (str, None), "kind": (str, None), "owner_pid": (int, None),
+    "comm": (str, None), "start_ns": (int, None), "end_ns": (int, None),
+    "flags": (list, str), "identity": (dict, None), "event_tallies": (dict, int),
+}
+_EDGE_TYPES = {"parent": (str, None), "child": (str, None), "cause": (str, None)}
+_DAG_TYPES = {
+    "trace_id": (int, None), "root": (str, None), "nodes": (list, dict),
+    "edges": (list, dict), "diagnostics": (dict, None),
+}
+_DIAGNOSTICS_TYPES = {"orphans": (list, dict), "counters": (dict, int)}
 
 
 Edge = tuple[str, str, str]  # (parent state_id, child state_id, cause)
@@ -90,39 +67,49 @@ Edge = tuple[str, str, str]  # (parent state_id, child state_id, cause)
 class RequestDag:
     trace_id: int
     root_id: str
-    nodes: list[DagNode]
+    nodes: list[dict]
     edges: list[Edge]
-    orphans: list[DagNode] = field(default_factory=list)
+    orphans: list[dict] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
 
-    def node_by_id(self) -> dict[str, DagNode]:
-        return {node.state_id: node for node in self.nodes}
+    def node_by_id(self) -> dict[str, dict]:
+        return {node["state_id"]: node for node in self.nodes}
 
     def to_doc(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "trace_id": self.trace_id,
             "root": self.root_id,
-            "nodes": [node.to_doc() for node in self.nodes],
+            "nodes": self.nodes,
             "edges": [
                 {"parent": p, "child": c, "cause": cause}
                 for p, c, cause in self.edges
             ],
             "diagnostics": {
-                "orphans": [node.to_doc() for node in self.orphans],
+                "orphans": self.orphans,
                 "counters": dict(sorted(self.counters.items())),
             },
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> RequestDag:
+    def from_doc(cls, doc: object) -> RequestDag:
+        """A dag document as to_doc writes it; its nodes are kept, not
+        copied. A key missing or of the wrong type raises ValueError."""
+        check_types(doc, _DAG_TYPES)
+        diagnostics = check_types(doc["diagnostics"], _DIAGNOSTICS_TYPES)
+        for node in doc["nodes"] + diagnostics["orphans"]:
+            check_types(node, _NODE_TYPES)
+        for edge in doc["edges"]:
+            check_types(edge, _EDGE_TYPES)
+            if edge["cause"] not in (CAUSE_TCP, CAUSE_FORK):
+                raise ValueError(f"cause must be tcp or fork, got {edge['cause']!r}")
         return cls(
-            trace_id=strict_int(doc["trace_id"], "trace_id"),
+            trace_id=doc["trace_id"],
             root_id=doc["root"],
-            nodes=[DagNode.from_doc(n) for n in doc["nodes"]],
+            nodes=doc["nodes"],
             edges=[(e["parent"], e["child"], e["cause"]) for e in doc["edges"]],
-            orphans=[DagNode.from_doc(n) for n in doc["diagnostics"]["orphans"]],
-            counters=dict(doc["diagnostics"]["counters"]),
+            orphans=diagnostics["orphans"],
+            counters=diagnostics["counters"],
         )
 
 
@@ -147,34 +134,35 @@ def node_key(kind: str, owner_pid: int, identity: dict, start_ns: int) -> str:
     return json.dumps([kind, owner_pid, identity, start_ns], sort_keys=True)
 
 
-def _make_node(state: State) -> DagNode:
+def _make_node(state: State) -> dict:
+    """The node document of a state, with the keys of _NODE_TYPES."""
     conn = None if state.conn is None else (*state.conn.src, *state.conn.dst)
     identity = node_identity(state.trace_id, state.source_thread, conn)
     key = node_key(state.kind, state.owner_pid, identity, state.start_ns)
     digest = hashlib.sha1(key.encode()).hexdigest()[:12]
-    return DagNode(
-        state_id=f"{state.kind}:{state.owner_pid}:{digest}",
-        kind=state.kind,
-        owner_pid=state.owner_pid,
-        comm=state.comm,
-        start_ns=state.start_ns,
-        end_ns=state.end_ns,
-        flags=sorted(state.flags),
-        identity=identity,
-        event_tallies=dict(state.tallies),
-    )
+    return {
+        "state_id": f"{state.kind}:{state.owner_pid}:{digest}",
+        "kind": state.kind,
+        "owner_pid": state.owner_pid,
+        "comm": state.comm,
+        "start_ns": state.start_ns,
+        "end_ns": state.end_ns,
+        "flags": sorted(state.flags),
+        "identity": identity,
+        "event_tallies": dict(state.tallies),
+    }
 
 
 def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
     """Assemble the DAG of one trace from all of its ended states."""
-    entries: list[tuple[State, DagNode]] = []
-    node_of: dict[int, DagNode] = {}
+    entries: list[tuple[State, dict]] = []
+    node_of: dict[int, dict] = {}
     seen_ids: set[str] = set()
     for state in states:
         node = _make_node(state)
-        while node.state_id in seen_ids:  # pathological duplicate guard
-            node.state_id += "+"
-        seen_ids.add(node.state_id)
+        while node["state_id"] in seen_ids:  # pathological duplicate guard
+            node["state_id"] += "+"
+        seen_ids.add(node["state_id"])
         entries.append((state, node))
         node_of[id(state)] = node
 
@@ -185,7 +173,7 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
     ]
     if not roots:
         raise DagValidationError(f"trace {trace_id} has no arrival state")
-    roots.sort(key=lambda e: (e[0].start_ns, e[1].state_id))
+    roots.sort(key=lambda e: (e[0].start_ns, e[1]["state_id"]))
     root_state, root_node = roots[0]
 
     children: dict[int, list[State]] = {}
@@ -198,18 +186,18 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
     stack = [root_state]
     while stack:
         parent = stack.pop()
-        parent_id = node_of[id(parent)].state_id
+        parent_id = node_of[id(parent)]["state_id"]
         for child in children.get(id(parent), ()):
             cause = CAUSE_TCP if child.kind == "network" else CAUSE_FORK
-            edges.append((parent_id, node_of[id(child)].state_id, cause))
+            edges.append((parent_id, node_of[id(child)]["state_id"], cause))
             if id(child) not in reachable:
                 reachable.add(id(child))
                 stack.append(child)
 
     nodes = [node for state, node in entries if id(state) in reachable]
     orphans = [node for state, node in entries if id(state) not in reachable]
-    nodes.sort(key=lambda n: (n.start_ns, n.state_id))
-    orphans.sort(key=lambda n: (n.start_ns, n.state_id))
+    nodes.sort(key=lambda n: (n["start_ns"], n["state_id"]))
+    orphans.sort(key=lambda n: (n["start_ns"], n["state_id"]))
     edges.sort()
 
     incoming = Counter(child for _, child, _ in edges)
@@ -219,7 +207,7 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
     }
     return RequestDag(
         trace_id=trace_id,
-        root_id=root_node.state_id,
+        root_id=root_node["state_id"],
         nodes=nodes,
         edges=edges,
         orphans=orphans,
@@ -244,7 +232,7 @@ def validate_dag(dag: RequestDag) -> None:
     for parent, child, _cause in dag.edges:
         if parent not in by_id or child not in by_id:
             raise DagValidationError(f"edge references unknown node: {parent}->{child}")
-        if by_id[child].start_ns < by_id[parent].start_ns:
+        if by_id[child]["start_ns"] < by_id[parent]["start_ns"]:
             raise DagValidationError(f"child starts before parent: {parent}->{child}")
         adjacency[parent].append(child)
         incoming[child] += 1
@@ -279,14 +267,14 @@ def export_json(dag: RequestDag) -> str:
     return json.dumps(dag.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
-def _dfs_rows(dag: RequestDag) -> list[tuple[DagNode, int]]:
+def _dfs_rows(dag: RequestDag) -> list[tuple[dict, int]]:
     by_id = dag.node_by_id()
     children: dict[str, list[str]] = {node_id: [] for node_id in by_id}
     for parent, child, _cause in dag.edges:
         children[parent].append(child)
     for node_id in children:
-        children[node_id].sort(key=lambda c: (by_id[c].start_ns, c))
-    rows: list[tuple[DagNode, int]] = []
+        children[node_id].sort(key=lambda c: (by_id[c]["start_ns"], c))
+    rows: list[tuple[dict, int]] = []
     rendered: set[str] = set()
     stack = [(dag.root_id, 0)]
     while stack:
@@ -309,11 +297,11 @@ def _bar(start: int, end: int, window: tuple[int, int], width: int) -> str:
     return "." * c0 + "#" * (c1 - c0) + "." * (width - c1)
 
 
-def _node_label(node: DagNode) -> str:
-    label = f"pid={node.owner_pid} comm={node.comm}"
-    if node.flags:
-        label += f" [{','.join(node.flags)}]"
-    for event, count in sorted(node.event_tallies.items()):
+def _node_label(node: dict) -> str:
+    label = f"pid={node['owner_pid']} comm={node['comm']}"
+    if node["flags"]:
+        label += f" [{','.join(node['flags'])}]"
+    for event, count in sorted(node["event_tallies"].items()):
         label += f" {event}={count}"
     return label
 
@@ -326,15 +314,15 @@ def render_gantt(dag: RequestDag, width: int = 100) -> str:
         raise ValueError("width must be at least 40 columns")
     everything = dag.nodes + dag.orphans
     window = (
-        min(node.start_ns for node in everything),
-        max(node.end_ns for node in everything),
+        min(node["start_ns"] for node in everything),
+        max(node["end_ns"] for node in everything),
     )
     lines = [
         f"trace {dag.trace_id}  window {window[0]}..{window[1]} ns"
         f"  nodes {len(dag.nodes)}"
     ]
     for node, depth in _dfs_rows(dag):
-        bar = _bar(node.start_ns, node.end_ns, window, width)
+        bar = _bar(node["start_ns"], node["end_ns"], window, width)
         if depth <= GANTT_MAX_INDENT:
             lines.append("  " * depth + f"|{bar}| {_node_label(node)}")
         else:
@@ -344,7 +332,7 @@ def render_gantt(dag: RequestDag, width: int = 100) -> str:
     if dag.orphans:
         lines.append("orphans:")
         for node in dag.orphans:
-            bar = _bar(node.start_ns, node.end_ns, window, width)
+            bar = _bar(node["start_ns"], node["end_ns"], window, width)
             lines.append("  " + f"|{bar}| {_node_label(node)}")
     return "\n".join(lines) + "\n"
 
@@ -352,10 +340,10 @@ def render_gantt(dag: RequestDag, width: int = 100) -> str:
 def summary_row(dag: RequestDag) -> dict:
     """One trace's duration, node count and event totals."""
     everything = dag.nodes + dag.orphans
-    span = max(n.end_ns for n in everything) - min(n.start_ns for n in everything)
+    span = max(n["end_ns"] for n in everything) - min(n["start_ns"] for n in everything)
     totals: Counter[str] = Counter()
     for node in everything:
-        totals.update(node.event_tallies)
+        totals.update(node["event_tallies"])
     return {
         "trace_id": dag.trace_id,
         "span_ns": span,

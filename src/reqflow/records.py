@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 
@@ -45,6 +47,37 @@ def strict_int(value: object, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def check_types(doc: object, types: dict, required: bool = True) -> dict:
+    """doc, which must be a JSON object whose keys in types hold values of
+    their (kind, item) type; item, if set, types each item of a list or each
+    value of an object. A missing key raises ValueError if required."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected a json object, got {doc!r}")
+    for key, (kind, item) in types.items():
+        if key not in doc:
+            if not required:
+                continue
+            raise ValueError(f"{key} is missing")
+        value = doc[key]
+        # type(), not isinstance(): a bool is not an int
+        if type(value) is not kind or item and any(
+            type(v) is not item for v in (value.values() if kind is dict else value)
+        ):
+            of = f" of {item.__name__}" if item else ""
+            raise ValueError(f"{key} must be {kind.__name__}{of}, got {value!r}")
+    return doc
+
+
+def read_json(path) -> object:
+    """The JSON document in a file, named by a str or given as a Path or a
+    package resource. JSON nested too deep to decode raises ValueError."""
+    text = (Path(path) if isinstance(path, str) else path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("json nesting too deep to decode") from None
 
 
 # Syscalls whose enter/exit tracepoints bracket TCP activity.

@@ -14,7 +14,6 @@ nothing, exactly as a pid-filtered capture would look.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -36,6 +35,7 @@ from .records import (
     TCP_SEND_PROBES,
     Endpoint,
     TraceRecord,
+    read_json,
     strict_int,
 )
 from .truth import GroundTruth, SpanTruth, TraceTruth
@@ -202,8 +202,8 @@ def _text(value: object, name: str) -> str:
 
 def load_topology(path: str | Path) -> TopologySpec:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = read_json(path)
+    except (OSError, ValueError) as exc:
         raise InvalidTopologyError(f"cannot load topology from {path}: {exc}") from exc
     topology = TopologySpec.from_doc(doc)
     topology.validate()
@@ -622,7 +622,7 @@ DEMO_REQUESTS = 1
 def demo_topology() -> TopologySpec:
     """Bundled two-tier fixture: fork-per-request frontend, one RPC hop."""
     path = resources.files("reqflow").joinpath("fixtures/two_tier_fork.json")
-    topology = TopologySpec.from_doc(json.loads(path.read_text()))
+    topology = TopologySpec.from_doc(read_json(path))
     topology.validate()
     return topology
 

@@ -295,19 +295,21 @@ def compare(dag_docs: list[dict], truth: GroundTruth) -> DiffReport:
     """Diff reconstructed dag documents against the harness ground truth.
 
     Nodes match on their node key: kind, owner, identity and exact span
-    start. Missing and extra traces are reported rather than raised.
+    start. Missing and extra traces are reported rather than raised; a
+    trace id that more than one document carries is an extra trace.
     """
     truth_by_id = {trace.trace_id: trace for trace in truth.traces}
     docs_by_id = {doc["trace_id"]: doc for doc in dag_docs}
+    repeated = {t for t, n in Counter(doc["trace_id"] for doc in dag_docs).items() if n > 1}
     missing = sorted(set(truth_by_id) - set(docs_by_id))
-    extra = sorted(set(docs_by_id) - set(truth_by_id))
+    extra = sorted(set(docs_by_id) - set(truth_by_id) | repeated)
     diffs = [
         _compare_trace(trace_id, docs_by_id[trace_id], truth_by_id[trace_id])
         for trace_id in sorted(set(truth_by_id) & set(docs_by_id))
     ]
     return DiffReport(
         expected_traces=len(truth_by_id),
-        actual_traces=len(docs_by_id),
+        actual_traces=len(dag_docs),
         missing_traces=missing,
         extra_traces=extra,
         trace_diffs=diffs,

@@ -58,7 +58,7 @@ def random_runs():
         reconstructed_tallies: Counter[str] = Counter()
         for dag in dags:
             for node in dag.nodes + dag.orphans:
-                reconstructed_tallies.update(node.event_tallies)
+                reconstructed_tallies.update(node["event_tallies"])
         results.append(
             {
                 "seed": seed,
@@ -90,20 +90,20 @@ def test_criterion_02_demo_fixture_shape_and_golden_bytes():
     _engine, dags = reconstruct(streams, demo_topology())
     assert len(dags) == 1
     dag = dags[0]
-    by_id = {node.state_id: node for node in dag.nodes}
+    by_id = {node["state_id"]: node for node in dag.nodes}
 
     fork_edges = [
-        (by_id[p].owner_pid, by_id[c].owner_pid)
+        (by_id[p]["owner_pid"], by_id[c]["owner_pid"])
         for p, c, cause in dag.edges if cause == "fork"
     ]
     assert fork_edges == [(2066822, 2066823)]
     tcp_edges = [
-        (by_id[p].owner_pid, by_id[c].owner_pid)
+        (by_id[p]["owner_pid"], by_id[c]["owner_pid"])
         for p, c, cause in dag.edges if cause == "tcp"
     ]
     assert tcp_edges == [(2066823, 1966384)]
     for node in dag.nodes:
-        assert node.event_tallies, f"node {node.state_id} has no tallies"
+        assert node["event_tallies"], f"node {node['state_id']} has no tallies"
     report = compare([dag.to_doc() for dag in dags], truth)
     assert report.empty
 

@@ -1,7 +1,9 @@
 """The benchmark's traced pass (bench/traced.py) is the only program that
 reconstructs through handle() per record, then finalize() and
 build_all_dags(). It must keep writing what `reqflow reconstruct` writes,
-and keep reading the pool sizes of the engine finalize() returns."""
+and keep reading the pool sizes of the engine finalize() returns. The
+benchmark's output check (bench/check.py) must accept what the CLI writes:
+a reader that rejected it would read as trace_accuracy 0."""
 
 from __future__ import annotations
 
@@ -12,23 +14,28 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
+import check  # noqa: E402
+import pytest  # noqa: E402
 import traced  # noqa: E402
 import workloads  # noqa: E402
 
 from reqflow.cli import main  # noqa: E402
 
 
-def test_traced_pass_writes_the_files_reconstruct_writes(tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_pass_writes_the_files_reconstruct_writes(tmp_path, capsys, name):
     # 12 requests, as bench/selftest.py shrinks the workloads
-    workload = dataclasses.replace(workloads.WORKLOADS["chain-reuse"], requests=12)
-    inputs, _truth = workloads.generate(workload, 1, tmp_path / "capture")
+    workload = dataclasses.replace(workloads.WORKLOADS[name], requests=12)
+    inputs, truth = workloads.generate(workload, 1, tmp_path / "capture")
     cli_out, traced_out = tmp_path / "cli", tmp_path / "traced"
     assert main(["reconstruct", *map(str, inputs), *workload.flags(cli_out)]) == 0
     capsys.readouterr()
+    result = check.check_output(cli_out, truth)
+    assert (result.traces, result.failed, result.tally_error) == (12, 0, 0)
     metrics = traced.traced_pass(workload, inputs, traced_out, traced.Tracer(), 0)
 
     names = sorted(path.name for path in cli_out.iterdir())
-    assert len([name for name in names if name.startswith("trace_")]) == 12
+    assert len(list(cli_out.glob("trace_*.json"))) == 12
     assert names == sorted(path.name for path in traced_out.iterdir())
     for name in names:
         assert (traced_out / name).read_bytes() == (cli_out / name).read_bytes(), name

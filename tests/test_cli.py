@@ -374,9 +374,11 @@ def demo_trace(tmp_path_factory) -> tuple[dict, str]:
     return doc, str(tmp_path / "capture" / "truth.json")
 
 
-def _unknown_edge_parent(doc):
-    doc["edges"][0]["parent"] = "deadbeef0000"
-    return doc
+def _first_edge(key, value):
+    def damage(doc):
+        doc["edges"][0][key] = value
+        return doc
+    return damage
 
 
 def _node_without_identity(doc):
@@ -399,7 +401,8 @@ def _last_node(key, retype):
 
 
 BAD_DAG_DOCS = {
-    "unknown_edge_parent": _unknown_edge_parent,
+    "unknown_edge_parent": _first_edge("parent", "deadbeef0000"),
+    "edge_cause_a_list": _first_edge("cause", ["tcp"]),
     "node_without_identity": _node_without_identity,
     "trace_id_a_list": lambda doc: {**doc, "trace_id": [1]},
     "trace_id_a_bool": lambda doc: {**doc, "trace_id": True},
@@ -408,6 +411,8 @@ BAD_DAG_DOCS = {
     "end_ns_null": _last_node("end_ns", lambda _: None),
     "tally_a_string": _tally("7"),
     "tally_a_bool": _tally(True),
+    "tallies_a_list": _last_node("event_tallies", lambda _: [1]),
+    "flag_an_int": _last_node("flags", lambda _: [1]),
     "nodes_not_a_list": lambda doc: {**doc, "nodes": "x"},
     "top_level_list": lambda doc: [1, 2],
 }
@@ -426,6 +431,63 @@ def test_inconsistent_dag_document_fails_without_traceback(
     captured = capsys.readouterr()
     assert captured.err.startswith(f"reqflow: bad dag document {bad}: ")
     assert captured.out == ""
+
+
+# What each command reads as JSON, and the exit code a file of it that is
+# nested too deep to decode gets: 1 for a dag document, 2 for the rest.
+# diff reads its truth file before any dag document.
+DEEP_JSON_RUNS = {
+    "render": (1, lambda deep, out: ["render", deep]),
+    "diff_truth": (2, lambda deep, out: ["diff", "trace_1.json", "--truth", deep]),
+    "synth_topology": (2, lambda deep, out: ["synth", "--topology", deep, "--out", out]),
+    "reconstruct_config": (2, lambda deep, out: [
+        "reconstruct", "whatever.log", *GATEWAY_FLAGS, "--config", deep, "--out", out,
+    ]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DEEP_JSON_RUNS))
+def test_deeply_nested_json_fails_without_traceback(tmp_path, capsys, run):
+    deep, out = tmp_path / "deep.json", tmp_path / "out"
+    deep.write_text("[" * 100_000)
+    code, argv = DEEP_JSON_RUNS[run]
+    assert main(argv(str(deep), str(out))) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("reqflow: ")
+    assert "too deep" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_diff_reports_a_trace_id_that_two_documents_carry(tmp_path, capsys):
+    _reconstruct(tmp_path, _synth(tmp_path))
+    good, bad = tmp_path / "dags", tmp_path / "bad"
+    bad.mkdir()
+    for path in good.glob("trace_*.json"):
+        (bad / path.name).write_text(path.read_text())
+    doc = json.loads((bad / "trace_1.json").read_text())
+    doc["nodes"][-1]["end_ns"] += 1
+    (bad / "trace_1.json").write_text(json.dumps(doc))
+    truth = str(tmp_path / "capture" / "truth.json")
+    assert main(["diff", str(good), "--truth", truth]) == 0
+    capsys.readouterr()
+    for first, last in ((bad, good), (good, bad)):
+        assert main(["diff", str(first), str(last), "--truth", truth]) == 1
+        out = capsys.readouterr().out
+        assert "extra traces: [1, 2]" in out
+        assert "clean" not in out
+
+
+def test_synth_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    blocked = tmp_path / "blocked"
+    (blocked / "truth.json").mkdir(parents=True)
+    for out in (a_file, blocked):
+        assert main(["synth", "--demo", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("reqflow: cannot use output directory: ")
+        assert captured.out == ""
 
 
 def _span(key, value, index=0):

@@ -9,7 +9,6 @@ import pytest
 from reqflow.dag import (
     CAUSE_FORK,
     CAUSE_TCP,
-    DagNode,
     DagValidationError,
     RequestDag,
     build_all_dags,
@@ -66,7 +65,7 @@ def test_two_hop_chain_builds_expected_edges():
     dag = build_trace(1, ended[1])
     validate_dag(dag)
     assert len(dag.nodes) == 2
-    assert dag.nodes[0].state_id == dag.root_id
+    assert dag.nodes[0]["state_id"] == dag.root_id
     assert [cause for _, _, cause in dag.edges] == [CAUSE_TCP]
     assert dag.counters == {"orphan_states": 0, "multi_parent_nodes": 0}
 
@@ -83,7 +82,7 @@ def test_state_without_recorded_parent_is_orphaned():
     dag = build_trace(1, ended[1])
     validate_dag(dag)
     assert len(dag.nodes) == 1
-    assert [node.owner_pid for node in dag.orphans] == [2, 3]
+    assert [node["owner_pid"] for node in dag.orphans] == [2, 3]
     assert dag.counters["orphan_states"] == 2
     assert not dag.edges
 
@@ -95,8 +94,8 @@ def test_fork_edge_carries_fork_cause():
     dag = build_trace(1, ended[1])
     validate_dag(dag)
     assert [cause for _, _, cause in dag.edges] == [CAUSE_FORK]
-    fork_node = next(node for node in dag.nodes if node.kind == "fork")
-    assert fork_node.identity == {"parent_thread": 1, "trace_id": 1}
+    fork_node = next(node for node in dag.nodes if node["kind"] == "fork")
+    assert fork_node["identity"] == {"parent_thread": 1, "trace_id": 1}
 
 
 def test_node_with_two_recorded_parents_gets_both_edges():
@@ -118,7 +117,7 @@ def test_node_with_two_recorded_parents_gets_both_edges():
     )
     dag = build_trace(1, ended[1])
     validate_dag(dag)
-    leaf_id = next(n.state_id for n in dag.nodes if n.owner_pid == 3)
+    leaf_id = next(n["state_id"] for n in dag.nodes if n["owner_pid"] == 3)
     incoming = [edge for edge in dag.edges if edge[1] == leaf_id]
     assert len(incoming) == 2
     assert dag.counters["multi_parent_nodes"] == 1
@@ -183,15 +182,21 @@ def test_identical_states_still_get_distinct_ids():
     twin_b = _net(2, 1, 1, 150, 300, parents=(root,))
     ended = _by_trace([1], [_thread(1, "gw", root), _thread(2, "svc", twin_a, twin_b)])
     dag = build_trace(1, ended[1])
-    ids = [node.state_id for node in dag.nodes]
+    ids = [node["state_id"] for node in dag.nodes]
     assert len(ids) == len(set(ids)) == 3
 
 
+def _node(state_id, owner_pid, comm, start_ns, end_ns, trace_id=1, event_tallies=()):
+    """A network node document as build_trace writes one."""
+    return {
+        "state_id": state_id, "kind": "network", "owner_pid": owner_pid, "comm": comm,
+        "start_ns": start_ns, "end_ns": end_ns, "flags": [],
+        "identity": {"trace_id": trace_id}, "event_tallies": dict(event_tallies),
+    }
+
+
 def _tiny_dag() -> RequestDag:
-    nodes = [
-        DagNode("n:1:aaa", "network", 1, "gw", 100, 400, [], {"trace_id": 1}, {}),
-        DagNode("n:2:bbb", "network", 2, "svc", 150, 300, [], {"trace_id": 1}, {}),
-    ]
+    nodes = [_node("n:1:aaa", 1, "gw", 100, 400), _node("n:2:bbb", 2, "svc", 150, 300)]
     return RequestDag(
         trace_id=1, root_id="n:1:aaa", nodes=nodes,
         edges=[("n:1:aaa", "n:2:bbb", CAUSE_TCP)],
@@ -207,7 +212,7 @@ def test_validate_rejects_edge_to_unknown_node():
 
 def test_validate_rejects_child_starting_before_parent():
     dag = _tiny_dag()
-    dag.nodes[1].start_ns = 50
+    dag.nodes[1]["start_ns"] = 50
     with pytest.raises(DagValidationError, match="starts before"):
         validate_dag(dag)
 
@@ -219,9 +224,7 @@ def test_validate_rejects_unreachable_and_cycles():
         validate_dag(dag)
     cyclic = _tiny_dag()
     # equal start times so the cycle is the only defect
-    cyclic.nodes.append(
-        DagNode("n:3:ccc", "network", 3, "x", 150, 250, [], {"trace_id": 1}, {})
-    )
+    cyclic.nodes.append(_node("n:3:ccc", 3, "x", 150, 250))
     cyclic.edges.append(("n:2:bbb", "n:3:ccc", CAUSE_TCP))
     cyclic.edges.append(("n:3:ccc", "n:2:bbb", CAUSE_TCP))
     with pytest.raises(DagValidationError, match="cycle"):
@@ -285,11 +288,8 @@ def test_gantt_indents_children_and_renders_multi_parent_once():
 
 def test_summary_math_matches_hand_computation():
     def dag_with_span(trace_id, start, end, tally):
-        node = DagNode(
-            f"n:{trace_id}:x", "network", 1, "gw", start, end, [],
-            {"trace_id": trace_id}, dict(tally),
-        )
-        return RequestDag(trace_id=trace_id, root_id=node.state_id, nodes=[node], edges=[])
+        node = _node(f"n:{trace_id}:x", 1, "gw", start, end, trace_id, tally)
+        return RequestDag(trace_id=trace_id, root_id=node["state_id"], nodes=[node], edges=[])
 
     dags = [
         dag_with_span(1, 0, 100, {"page_fault_user": 2}),

@@ -318,7 +318,7 @@ def test_fork_tied_with_a_later_receive_records_only_earlier_states():
     engine = run(script)
     assert len(engine.threads[2].active_states) == 2
     (dag,) = replayed(script).values()
-    child_id = next(node.state_id for node in dag.nodes if node.owner_pid == 42)
+    child_id = next(node["state_id"] for node in dag.nodes if node["owner_pid"] == 42)
     assert len([edge for edge in dag.edges if edge[1] == child_id]) == 1
     assert dag.counters["multi_parent_nodes"] == 0
 
@@ -431,9 +431,9 @@ def test_pid_reuse_after_exit_spawns_fresh_thread():
     assert not engine.threads[42].exited
     # the first generation's state survives reuse next to the second's
     (dag,) = replayed(script).values()
-    first, second = [node for node in dag.nodes if node.owner_pid == 42]
-    assert [first.comm, second.comm] == ["c", "c2"]
-    assert first.end_ns < second.start_ns
+    first, second = [node for node in dag.nodes if node["owner_pid"] == 42]
+    assert [first["comm"], second["comm"]] == ["c", "c2"]
+    assert first["end_ns"] < second["start_ns"]
 
 
 def test_trace_minted_on_a_retired_pid_is_handed_out_when_a_fork_reuses_it():
@@ -450,9 +450,9 @@ def test_trace_minted_on_a_retired_pid_is_handed_out_when_a_fork_reuses_it():
     dags = replayed(script)
     assert sorted(dags) == [1, 2]
     (late,) = dags[2].nodes
-    assert (late.owner_pid, late.comm) == (7, "w")
-    assert late.end_ns == reused
-    assert late.flags == [FLAG_ENDED_BY_EXIT]
+    assert (late["owner_pid"], late["comm"]) == (7, "w")
+    assert late["end_ns"] == reused
+    assert late["flags"] == [FLAG_ENDED_BY_EXIT]
 
 
 def test_user_events_tally_into_every_active_span():
@@ -498,8 +498,8 @@ def test_finalize_defaults_to_last_seen_timestamp():
     last = script.at(9, "other", "sys_enter_read")
     (dag,) = replayed(script).values()
     (node,) = dag.nodes
-    assert node.end_ns == last
-    assert node.flags == [FLAG_OPEN_AT_END]
+    assert node["end_ns"] == last
+    assert node["flags"] == [FLAG_OPEN_AT_END]
 
 
 def test_engine_rejects_use_after_finalize():
@@ -568,8 +568,8 @@ def test_node_keeps_the_comm_its_thread_had_when_the_span_began():
     engine = run(script)
     assert engine.threads[42].comm == "renamed"
     (dag,) = replayed(script).values()
-    fork_node = next(node for node in dag.nodes if node.kind == "fork")
-    assert fork_node.comm == "worker"
+    fork_node = next(node for node in dag.nodes if node["kind"] == "fork")
+    assert fork_node["comm"] == "worker"
 
 
 def test_completed_trace_is_taken_once_and_forgotten(monkeypatch):
