@@ -14,7 +14,6 @@ and configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -40,7 +39,7 @@ from .ingest import (
     merge_streams,
     read_stream,
 )
-from .records import Endpoint, ascii_decimal, check_types, read_json
+from .records import Endpoint, ascii_decimal, check_types, dump_json, read_json
 from .synth import (
     FaultMode,
     InvalidTopologyError,
@@ -69,7 +68,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(dump_json(doc))
 
 
 # ----------------------------------------------------------------------

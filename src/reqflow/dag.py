@@ -14,7 +14,8 @@ build_trace builds one trace from its states alone, so each trace
 ReplayEngine.replay() yields can be built, written and freed at once.
 
 A node is a plain dict, the very document the export writes, and
-RequestDag.from_doc checks each node it reads against _NODE_TYPES.
+RequestDag.from_doc checks each node it reads against _NODE_TYPES and its
+identity against _IDENTITY_TYPES.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .engine import EXTERNAL_THREAD, ReplayEngine, State
-from .records import check_types
+from .records import check_types, dump_json
 
 SCHEMA_VERSION = "1"
 
 CAUSE_TCP = "tcp"
 CAUSE_FORK = "fork"
-
-_TUPLE_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port")
 
 # Gantt rows indent two columns per level up to this depth. Deeper rows keep
 # this indent and print their depth, so a chart grows linearly with depth.
@@ -51,6 +50,17 @@ _NODE_TYPES = {
     "state_id": (str, None), "kind": (str, None), "owner_pid": (int, None),
     "comm": (str, None), "start_ns": (int, None), "end_ns": (int, None),
     "flags": (list, str), "identity": (dict, None), "event_tallies": (dict, int),
+}
+# The identity node_identity writes for each kind. from_doc allows no other
+# key, so nothing nested, however deep, reaches node_key.
+_IDENTITY_TYPES = {
+    "network": {"source_thread": (int, None), "trace_id": (int, None), "tuple": (dict, None)},
+    "fork": {"parent_thread": (int, None), "trace_id": (int, None)},
+}
+# In the order of a connection tuple, which node_identity names by them.
+_TUPLE_TYPES = {
+    "src_ip": (str, None), "src_port": (int, None),
+    "dst_ip": (str, None), "dst_port": (int, None),
 }
 _EDGE_TYPES = {"parent": (str, None), "child": (str, None), "cause": (str, None)}
 _DAG_TYPES = {
@@ -99,6 +109,13 @@ class RequestDag:
         diagnostics = check_types(doc["diagnostics"], _DIAGNOSTICS_TYPES)
         for node in doc["nodes"] + diagnostics["orphans"]:
             check_types(node, _NODE_TYPES)
+            if node["kind"] not in _IDENTITY_TYPES:
+                raise ValueError(f"kind must be network or fork, got {node['kind']!r}")
+            identity = check_types(
+                node["identity"], _IDENTITY_TYPES[node["kind"]], exact=True
+            )
+            if node["kind"] == "network":
+                check_types(identity["tuple"], _TUPLE_TYPES, exact=True)
         for edge in doc["edges"]:
             check_types(edge, _EDGE_TYPES)
             if edge["cause"] not in (CAUSE_TCP, CAUSE_FORK):
@@ -122,16 +139,20 @@ def node_identity(trace_id: int, thread: int, conn: tuple | None = None) -> dict
         return {"parent_thread": thread, "trace_id": trace_id}
     return {
         "source_thread": thread,
-        "tuple": dict(zip(_TUPLE_FIELDS, conn)),
+        "tuple": dict(zip(_TUPLE_TYPES, conn)),
         "trace_id": trace_id,
     }
+
+
+# json.dumps(..., sort_keys=True) builds an encoder per call; one is enough.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def node_key(kind: str, owner_pid: int, identity: dict, start_ns: int) -> str:
     """A node's canonical text: the state id hashes it, and the truth diff
     matches nodes on it. start_ns participates so a key recurring on a
     kept-alive connection still names distinct nodes."""
-    return json.dumps([kind, owner_pid, identity, start_ns], sort_keys=True)
+    return _KEY_ENCODER.encode([kind, owner_pid, identity, start_ns])
 
 
 def _make_node(state: State) -> dict:
@@ -264,7 +285,7 @@ def validate_dag(dag: RequestDag) -> None:
 def export_json(dag: RequestDag) -> str:
     """Canonical export: sorted keys, nodes by (start_ns, state_id), edges
     lexicographic. Byte-identical across runs on identical input."""
-    return json.dumps(dag.to_doc(), sort_keys=True, indent=2) + "\n"
+    return dump_json(dag.to_doc())
 
 
 def _dfs_rows(dag: RequestDag) -> list[tuple[dict, int]]:

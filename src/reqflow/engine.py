@@ -183,6 +183,16 @@ class ReplayEngine:
         self.unattributed: Counter[str] = Counter()
         self.last_ns = 0
         self.finalized = False
+        # The handler of each event name. A user event cannot shadow a
+        # structural one (checked above), so one lookup decides.
+        self._handlers = {
+            **dict.fromkeys(SYSCALL_EVENTS, ReplayEngine._syscall_boundary),
+            **dict.fromkeys(TCP_SEND_PROBES, ReplayEngine._tcp_send),
+            TCP_RCV_EVENT: ReplayEngine._tcp_receive,
+            FORK_EVENT: ReplayEngine._fork,
+            EXIT_EVENT: ReplayEngine._exit,
+            **dict.fromkeys(self.user_events, ReplayEngine._user_event),
+        }
 
     # ------------------------------------------------------------------
     # thread pool
@@ -261,21 +271,11 @@ class ReplayEngine:
             raise RuntimeError("engine already finalized")
         if record.timestamp_ns > self.last_ns:
             self.last_ns = record.timestamp_ns
-        event = record.event
-        if event in SYSCALL_EVENTS:
-            self._syscall_boundary(record)
-        elif event in TCP_SEND_PROBES:
-            self._tcp_send(record)
-        elif event == TCP_RCV_EVENT:
-            self._tcp_receive(record)
-        elif event == FORK_EVENT:
-            self._fork(record)
-        elif event == EXIT_EVENT:
-            self._exit(record)
-        elif event in self.user_events:
-            self._user_event(record)
-        else:
+        handler = self._handlers.get(record.event)
+        if handler is None:
             self.counters["ignored_events"] += 1
+        else:
+            handler(self, record)
 
     def replay(
         self, records: Iterable[TraceRecord]

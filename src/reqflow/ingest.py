@@ -93,43 +93,33 @@ def parse_ftrace_line(line: str, line_number: int | None = None) -> TraceRecord 
     timestamp_ns = int(match["secs"]) * 1_000_000_000 + int(frac) * scale
     args = _parse_kv(match["args"].split(), line_number, line)
     return TraceRecord(
-        timestamp_ns=timestamp_ns,
-        cpu=int(match["cpu"]),
-        pid=int(match["pid"]),
-        comm=match["comm"],
-        event=match["event"],
-        args=args,
+        timestamp_ns, int(match["cpu"]), int(match["pid"]), match["comm"],
+        match["event"], args,
     )
 
 
 def parse_bpftrace_line(line: str, line_number: int | None = None) -> TraceRecord | None:
     """Parse one line of the tab-separated bpftrace convention."""
-    stripped = line.rstrip("\n")
-    if not stripped.strip():
-        return None
-    if stripped.startswith("Attaching "):
-        return None
-    parts = stripped.split("\t")
-    if len(parts) < 5:
-        raise MalformedLineError("expected at least 5 tab fields", line_number, line)
+    parts = line.rstrip("\n").split("\t")
     try:
         timestamp_ns = int(parts[0])
         cpu = int(parts[1])
         pid = int(parts[2])
-    except ValueError:
+        event = parts[4]
+    except (ValueError, IndexError):
+        # Blanks and banners are rare, so they are looked for only here.
+        if not line.strip() or line.startswith("Attaching "):
+            return None
+        if len(parts) < 5:
+            raise MalformedLineError(
+                "expected at least 5 tab fields", line_number, line
+            ) from None
         raise MalformedLineError("non-integer header field", line_number, line) from None
-    event = parts[4]
     if not event:
         raise MalformedLineError("empty event name", line_number, line)
-    args = _parse_kv(parts[5:], line_number, line)
-    return TraceRecord(
-        timestamp_ns=timestamp_ns,
-        cpu=cpu,
-        pid=pid,
-        comm=parts[3],
-        event=event,
-        args=args,
-    )
+    # Syscall boundaries, most of a capture, carry no arguments.
+    args = _parse_kv(parts[5:], line_number, line) if len(parts) > 5 else {}
+    return TraceRecord(timestamp_ns, cpu, pid, parts[3], event, args)
 
 
 _PARSERS = {"ftrace": parse_ftrace_line, "bpftrace": parse_bpftrace_line}

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
+from json.encoder import INFINITY as _INFINITY
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,12 +52,20 @@ def strict_int(value: object, name: str) -> int:
     return value
 
 
-def check_types(doc: object, types: dict, required: bool = True) -> dict:
+# A value quoted in an error message is cut short: a document may nest a
+# list hundreds deep.
+_brief = reprlib.repr
+
+
+def check_types(
+    doc: object, types: dict, required: bool = True, exact: bool = False
+) -> dict:
     """doc, which must be a JSON object whose keys in types hold values of
     their (kind, item) type; item, if set, types each item of a list or each
-    value of an object. A missing key raises ValueError if required."""
+    value of an object. A missing key raises ValueError if required, and
+    with exact any key not in types does too."""
     if type(doc) is not dict:
-        raise ValueError(f"expected a json object, got {doc!r}")
+        raise ValueError(f"expected a json object, got {_brief(doc)}")
     for key, (kind, item) in types.items():
         if key not in doc:
             if not required:
@@ -66,7 +77,10 @@ def check_types(doc: object, types: dict, required: bool = True) -> dict:
             type(v) is not item for v in (value.values() if kind is dict else value)
         ):
             of = f" of {item.__name__}" if item else ""
-            raise ValueError(f"{key} must be {kind.__name__}{of}, got {value!r}")
+            raise ValueError(f"{key} must be {kind.__name__}{of}, got {_brief(value)}")
+    extra = doc.keys() - types.keys() if exact else ()
+    if extra:
+        raise ValueError(f"unexpected keys {_brief(sorted(extra))}")
     return doc
 
 
@@ -78,6 +92,66 @@ def read_json(path) -> object:
         return json.loads(text)
     except RecursionError:
         raise ValueError("json nesting too deep to decode") from None
+
+
+def dump_json(doc: object) -> str:
+    """The canonical text of a document, which every JSON file reqflow writes
+    holds: exactly json.dumps(doc, sort_keys=True, indent=2) + "\\n".
+
+    With an indent, json.dumps always runs CPython's pure-Python encoder,
+    whose generators and closures cost more than the text itself; this
+    writer appends to one list instead. Dict keys must be str."""
+    parts: list[str] = []
+    _dump(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _dump(value: object, parts: list[str], newline: str) -> None:
+    """Append value's text; newline is a line break plus value's indent."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))  # an IntEnum writes its number
+    elif isinstance(value, float):
+        if value != value:
+            parts.append("NaN")
+        elif value in (_INFINITY, -_INFINITY):
+            parts.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            parts.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _dump(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator + _encode_str(key) + ": ")
+            _dump(value[key], parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # Syscalls whose enter/exit tracepoints bracket TCP activity.

@@ -63,6 +63,9 @@ class SpanTruth:
         conn, parent_index, tallies = doc.get("conn"), doc["parent_index"], doc["tallies"]
         if conn is not None:
             src_ip, src_port, dst_ip, dst_port = conn
+            # The addresses go into the span's node key as they are.
+            if type(src_ip) is not str or type(dst_ip) is not str:
+                raise ValueError("conn addresses must be strings")
             conn = (src_ip, strict_int(src_port, "conn port"),
                     dst_ip, strict_int(dst_port, "conn port"))
         if parent_index is not None:

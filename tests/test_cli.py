@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -393,6 +394,25 @@ def _tally(value):
     return damage
 
 
+# A list that decodes on the stack main() runs on from the command line but
+# nests too deep for json to encode again there, as a node key. json.dumps
+# cannot write it either, so the test puts it in place of this placeholder.
+DEEP_PLACEHOLDER = "a list nested 982 deep"
+DEEP_LIST_TEXT = "[" * 982 + "]" * 982
+
+
+def _deep_dst_ip(doc):
+    doc["nodes"][0]["identity"]["tuple"]["dst_ip"] = DEEP_PLACEHOLDER
+    return doc
+
+
+def _identity(change):
+    def damage(doc):
+        change(doc["nodes"][-1]["identity"])
+        return doc
+    return damage
+
+
 def _last_node(key, retype):
     def damage(doc):
         doc["nodes"][-1][key] = retype(doc["nodes"][-1][key])
@@ -414,6 +434,10 @@ BAD_DAG_DOCS = {
     "tallies_a_list": _last_node("event_tallies", lambda _: [1]),
     "flag_an_int": _last_node("flags", lambda _: [1]),
     "nodes_not_a_list": lambda doc: {**doc, "nodes": "x"},
+    "dst_ip_nested_982_deep": _deep_dst_ip,
+    "identity_with_an_extra_key": _identity(lambda identity: identity.update(x=1)),
+    "identity_without_trace_id": _identity(lambda identity: identity.pop("trace_id")),
+    "kind_unknown": _last_node("kind", lambda _: "thread"),
     "top_level_list": lambda doc: [1, 2],
 }
 
@@ -425,9 +449,13 @@ def test_inconsistent_dag_document_fails_without_traceback(
 ):
     doc, truth = demo_trace
     bad = tmp_path / "trace_1.json"
-    bad.write_text(json.dumps(BAD_DAG_DOCS[damage](json.loads(json.dumps(doc)))))
+    text = json.dumps(BAD_DAG_DOCS[damage](json.loads(json.dumps(doc))))
+    bad.write_text(text.replace(json.dumps(DEEP_PLACEHOLDER), DEEP_LIST_TEXT))
     extra = ["--truth", truth] if command == "diff" else []
-    assert main([command, str(bad), *extra]) == 1
+    # On a fresh thread's stack, as deep as the command line's, so how deep a
+    # document may nest does not depend on pytest's frames.
+    with ThreadPoolExecutor(1) as thread:
+        assert thread.submit(main, [command, str(bad), *extra]).result() == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"reqflow: bad dag document {bad}: ")
     assert captured.out == ""
@@ -501,6 +529,7 @@ BAD_TRUTH_DOCS = {
     "trace_id_a_list": lambda doc: {**doc, "traces": [{**doc["traces"][0], "trace_id": [1]}]},
     "traces_an_int": lambda doc: {**doc, "traces": 5},
     "conn_an_int": _span("conn", 7),
+    "conn_address_a_list": _span("conn", [["10.1.0.2"], 80, "203.0.113.9", 60000]),
     "parent_index_out_of_range": _span("parent_index", 99, index=1),
     "parent_index_not_earlier": _span("parent_index", 1, index=1),
     "start_ns_a_string": _span("start_ns", "5"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import statistics
@@ -162,6 +163,19 @@ def test_export_is_canonical_and_input_order_free():
     doc = json.loads(text)
     assert doc["schema_version"] == "1"
     assert list(doc) == sorted(doc)
+
+
+def test_export_leaves_no_garbage_for_the_collector(demo_run):
+    # json.dumps with an indent leaves its encoder's closures in reference
+    # cycles on every call, dozens of objects per trace.
+    dag = demo_run[3][0]
+    gc.collect()
+    gc.disable()
+    try:
+        export_json(dag)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_doc_round_trip_preserves_everything():

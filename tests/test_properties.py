@@ -1,5 +1,6 @@
 """Property tests: arbitrary record streams replay and build without a crash,
-and handing complete traces out during replay changes no output.
+and handing complete traces out during replay changes no output; the JSON
+writer and the bpftrace parser give what the code they replaced gave.
 
 Streams run over a few pids and endpoints so that receives, sends, forks,
 exits and pid reuse collide often, and timestamps repeat. Examples are
@@ -8,6 +9,9 @@ derandomized so that the suite is deterministic.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +19,8 @@ from hypothesis import strategies as st
 from reqflow import engine as engine_module
 from reqflow.dag import build_all_dags, build_trace, export_json, validate_dag
 from reqflow.engine import ReplayEngine
-from reqflow.records import Endpoint, TraceRecord
+from reqflow.ingest import MalformedLineError, _parse_kv, parse_bpftrace_line
+from reqflow.records import Endpoint, TraceRecord, dump_json
 
 PIDS = st.integers(min_value=1, max_value=5)
 ENDPOINTS = (
@@ -114,3 +119,99 @@ def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps)
                 assert not streamed.keys() & thread.active_by_trace().keys()
     assert sorted(streamed) == batch.minted_traces == engine.minted_traces
     assert [streamed[trace_id] for trace_id in sorted(streamed)] == expected
+
+
+# Strings that json escapes: quotes, backslashes, control and non-ASCII
+# characters, surrogates and astral ones, besides arbitrary text.
+TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\ud800\U0001f600'))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    TEXT, st.text(),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT | st.text(), inner, max_size=4),
+        st.dictionaries(TEXT, st.integers(), max_size=4).map(Counter),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(JSON_DOCS)
+def test_dump_json_writes_what_json_dumps_writes(doc):
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_parse_bpftrace_line(line, line_number=None):
+    """parse_bpftrace_line as it read before it split first, verbatim."""
+    stripped = line.rstrip("\n")
+    if not stripped.strip():
+        return None
+    if stripped.startswith("Attaching "):
+        return None
+    parts = stripped.split("\t")
+    if len(parts) < 5:
+        raise MalformedLineError("expected at least 5 tab fields", line_number, line)
+    try:
+        timestamp_ns = int(parts[0])
+        cpu = int(parts[1])
+        pid = int(parts[2])
+    except ValueError:
+        raise MalformedLineError("non-integer header field", line_number, line) from None
+    event = parts[4]
+    if not event:
+        raise MalformedLineError("empty event name", line_number, line)
+    args = _parse_kv(parts[5:], line_number, line)
+    return TraceRecord(
+        timestamp_ns=timestamp_ns,
+        cpu=cpu,
+        pid=pid,
+        comm=parts[3],
+        event=event,
+        args=args,
+    )
+
+
+# Header fields int() takes, padded or not, and ones it rejects.
+HEADER_FIELD = st.sampled_from(["7", "42", " 7", "7 ", "-3", "+5", "1_000", "0x1", "x", "", "²"])
+FIELD = st.one_of(
+    HEADER_FIELD,
+    st.sampled_from(["", " ", "\x0c", "Attaching 4 probes...", "Attaching", "nginx"]),
+    st.text(max_size=6),
+)
+ARG = st.sampled_from(["k=v", "k=w", "j=1", "a=b=c", "=v", "k=", "bare", "==>"]) | FIELD
+ENDING = st.sampled_from(["", "\n", "\r\n"])
+LINES = st.one_of(
+    # shaped like a record: three header fields, comm, event, arguments
+    st.builds(
+        lambda header, comm, event, args, end: "\t".join([*header, comm, event, *args]) + end,
+        st.lists(HEADER_FIELD, min_size=3, max_size=3), FIELD,
+        st.sampled_from(["tcp_rcv_space_adjust", ""]) | FIELD, st.lists(ARG, max_size=5),
+        ENDING,
+    ),
+    # blanks and banners
+    st.sampled_from(["", "\n", " \t \n", "\x0c\n", "Attaching 12 probes...\n",
+                     "Attaching\t1\t2\t3\tev\n", "Attaching 1\t2\t3\t4\tev\n"]),
+    # anything tab-joined
+    st.builds(lambda fields, end: "\t".join(fields) + end, st.lists(FIELD, max_size=9), ENDING),
+)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line, 9)
+    except MalformedLineError as exc:
+        return ("malformed", str(exc), exc.line_number)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(LINES)
+def test_bpftrace_parser_agrees_with_the_reference(line):
+    assert _outcome(parse_bpftrace_line, line) == _outcome(
+        _reference_parse_bpftrace_line, line
+    )

@@ -46,3 +46,9 @@ def test_every_name_in_the_layout_resolves_in_its_module():
         if not _resolves(importlib.import_module(f"reqflow.{module}"), "".join(name.split()))
     ]
     assert missing == []
+
+
+def test_records_bullet_names_the_json_reader_and_writer():
+    text = _layout_bullets()["records"]
+    names = {"".join(name.split()) for name in re.findall(r"`([^`]+)`", text)}
+    assert {"read_json(path)", "dump_json(doc)"} <= names
