@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 data errors (parse failures in strict mode,
 unsorted or undecodable streams, non-empty diffs, failed writes), 2 usage
-and configuration errors.
+errors and unusable truth or topology files.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from .ingest import (
     merge_streams,
     read_stream,
 )
-from .records import Endpoint, ascii_decimal, check_types, dump_json, read_json
+from .records import Endpoint, ascii_decimal, dump_json, read_json
 from .synth import (
     FaultMode,
-    InvalidTopologyError,
     demo_topology,
     inject_faults,
     load_topology,
@@ -53,9 +52,9 @@ from .synth import (
 from .truth import GroundTruth, compare
 
 
-def _endpoint(text: object) -> Endpoint:
-    """An ip:port string from the command line or a config file."""
-    host, _, port = text.rpartition(":") if isinstance(text, str) else ("", "", "")
+def _endpoint(text: str) -> Endpoint:
+    """An ip:port string from the command line."""
+    host, _, port = text.rpartition(":")
     number = ascii_decimal(port)
     if not host or number is None:
         raise argparse.ArgumentTypeError(f"expected ip:port, got {text!r}")
@@ -74,48 +73,9 @@ def _write_json(path: Path, doc) -> None:
 # ----------------------------------------------------------------------
 # reconstruct
 
-# The type each config key's flag takes, and for a list its items' type.
-# _endpoint checks each gateway.
-_CONFIG_TYPES = {
-    "backend": (str, None),
-    "gateways": (list, None),
-    "user_events": (list, str),
-    "pids": (list, int),
-    "follow_forks": (bool, None),
-    "strict": (bool, None),
-}
-
-
-def _load_config(path: str) -> dict:
-    return check_types(read_json(path), _CONFIG_TYPES, required=False)
-
-
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    config = {}
-    if args.config:
-        try:
-            config = _load_config(args.config)
-        except (OSError, ValueError) as exc:
-            return _fail(f"bad config {args.config}: {exc}", 2)
-
-    backend = args.backend or config.get("backend", "ftrace")
-    if backend not in BACKENDS:
-        return _fail(f"unknown backend {backend!r}", 2)
     try:
-        gateways = list(args.gateway or ()) or [
-            _endpoint(item) for item in config.get("gateways", ())
-        ]
-    except argparse.ArgumentTypeError as exc:
-        return _fail(str(exc), 2)
-    if not gateways:
-        return _fail("at least one --gateway ip:port is required", 2)
-    user_events = tuple(args.user_event or config.get("user_events", ()))
-    pids = tuple(args.pid or config.get("pids", ()))
-    follow_forks = args.follow_forks or config.get("follow_forks", False)
-    strict = args.strict or config.get("strict", False)
-
-    try:
-        engine = ReplayEngine(gateway_endpoints=gateways, user_events=user_events)
+        engine = ReplayEngine(gateway_endpoints=args.gateway, user_events=args.user_event or ())
     except ValueError as exc:
         return _fail(str(exc), 2)
 
@@ -148,12 +108,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 except OSError as exc:
                     return _fail(f"cannot open input: {exc}", 2)
             streams = [
-                read_stream(handle, backend=backend, strict=strict, stats=stats)
+                read_stream(handle, backend=args.backend, strict=args.strict, stats=stats)
                 for handle in handles
             ]
             records = merge_streams(streams)
-            if pids:
-                records = filter_records(records, pids, follow_forks)
+            if args.pid:
+                records = filter_records(records, args.pid, args.follow_forks)
             # Each trace is written once its last span ends, so memory holds
             # the requests in flight and at most one batch of completed ones.
             for trace_id, states in engine.replay(records):
@@ -208,7 +168,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             topology, args.requests, args.cpus, args.seed,
             duplicate_receives=args.duplicate_receives,
         )
-    except (InvalidTopologyError, ValueError) as exc:
+    except ValueError as exc:  # an InvalidTopologyError is one
         return _fail(str(exc), 2)
 
     manifest = []
@@ -301,13 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reqflow",
         description="reconstruct per-request flow dags from kernel trace captures",
+        epilog="@FILE reads further arguments from FILE, one per line",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reconstruct", help="replay capture streams into dag documents")
     p.add_argument("inputs", nargs="+", help="per-cpu capture files, each time ordered")
-    p.add_argument("--backend", choices=BACKENDS, default=None)
-    p.add_argument("--gateway", type=_endpoint, action="append",
+    p.add_argument("--backend", choices=BACKENDS, default="ftrace")
+    p.add_argument("--gateway", type=_endpoint, action="append", required=True,
                    help="entry endpoint as ip:port; repeatable")
     p.add_argument("--user-event", action="append", dest="user_event",
                    help="event name to tally against active spans; repeatable")
@@ -317,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extend the pid filter across forks")
     p.add_argument("--strict", action="store_true",
                    help="fail on the first malformed line instead of counting it")
-    p.add_argument("--config", help="json file providing defaults for the flags above")
     p.add_argument("--gantt", action="store_true", help="also write gantt text per trace")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_reconstruct)
@@ -360,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UnicodeDecodeError as exc:  # argparse reports only an @FILE's OSError
+        return _fail(f"cannot decode arguments file: {exc}", 2)
     return args.func(args)
 
 

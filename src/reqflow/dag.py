@@ -57,8 +57,9 @@ _IDENTITY_TYPES = {
     "network": {"source_thread": (int, None), "trace_id": (int, None), "tuple": (dict, None)},
     "fork": {"parent_thread": (int, None), "trace_id": (int, None)},
 }
-# In the order of a connection tuple, which node_identity names by them.
-_TUPLE_TYPES = {
+# In the order of a connection tuple, which node_identity names by them and
+# a truth span's conn lists.
+TUPLE_TYPES = {
     "src_ip": (str, None), "src_port": (int, None),
     "dst_ip": (str, None), "dst_port": (int, None),
 }
@@ -115,7 +116,7 @@ class RequestDag:
                 node["identity"], _IDENTITY_TYPES[node["kind"]], exact=True
             )
             if node["kind"] == "network":
-                check_types(identity["tuple"], _TUPLE_TYPES, exact=True)
+                check_types(identity["tuple"], TUPLE_TYPES, exact=True)
         for edge in doc["edges"]:
             check_types(edge, _EDGE_TYPES)
             if edge["cause"] not in (CAUSE_TCP, CAUSE_FORK):
@@ -139,7 +140,7 @@ def node_identity(trace_id: int, thread: int, conn: tuple | None = None) -> dict
         return {"parent_thread": thread, "trace_id": trace_id}
     return {
         "source_thread": thread,
-        "tuple": dict(zip(_TUPLE_TYPES, conn)),
+        "tuple": dict(zip(TUPLE_TYPES, conn)),
         "trace_id": trace_id,
     }
 

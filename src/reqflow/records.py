@@ -45,13 +45,6 @@ def ascii_decimal(text: object) -> int | None:
     return None
 
 
-def strict_int(value: object, name: str) -> int:
-    """value, which must be an int read from a document; a bool is not one."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 # A value quoted in an error message is cut short: a document may nest a
 # list hundreds deep.
 _brief = reprlib.repr

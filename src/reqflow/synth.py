@@ -35,8 +35,8 @@ from .records import (
     TCP_SEND_PROBES,
     Endpoint,
     TraceRecord,
+    check_types,
     read_json,
-    strict_int,
 )
 from .truth import GroundTruth, SpanTruth, TraceTruth
 from .truth import compare  # noqa: F401  (importable from synth, as the benchmark does)
@@ -57,6 +57,17 @@ _PROBE_CHOICES = tuple(sorted(TCP_SEND_PROBES))
 
 class InvalidTopologyError(ValueError):
     pass
+
+
+# The keys and types of a topology document, and of each of its services, as
+# TopologySpec.to_doc writes them; a document may leave out the optional ones.
+_TOPOLOGY_TYPES = {"services": (list, dict), "gateway": (str, None)}
+_TOPOLOGY_OPTIONS = {"user_event_rates": (dict, None), "reuse_connections": (bool, None)}
+_SERVICE_TYPES = {"name": (str, None), "ip": (str, None), "port": (int, None)}
+_SERVICE_OPTIONS = {
+    "worker_model": (str, None), "calls": (list, str), "service_time_ns": (list, int),
+    "pid": (int, None), "child_pids": (list, int),
+}
 
 
 @dataclass(frozen=True)
@@ -163,41 +174,29 @@ class TopologySpec:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> TopologySpec:
+    def from_doc(cls, doc: object) -> TopologySpec:
+        """A topology as to_doc writes it; a key it leaves out takes its
+        field's default."""
         try:
-            services = tuple(
-                ServiceSpec(
-                    name=_text(svc["name"], "name"),
-                    ip=svc["ip"],
-                    port=strict_int(svc["port"], "port"),
-                    worker_model=svc.get("worker_model", "reuse"),
-                    calls=tuple(_text(call, "calls") for call in svc.get("calls", ())),
-                    service_time_ns=_ints(
-                        svc.get("service_time_ns", (1_000, 5_000)), "service_time_ns"
-                    ),
-                    pid=None if svc.get("pid") is None else strict_int(svc["pid"], "pid"),
-                    child_pids=_ints(svc.get("child_pids", ()), "child_pids"),
-                )
-                for svc in doc["services"]
-            )
+            check_types(doc, _TOPOLOGY_TYPES)
+            check_types(doc, _TOPOLOGY_OPTIONS, required=False)
             return cls(
-                services=services,
-                gateway=_text(doc["gateway"], "gateway"),
-                user_event_rates=dict(doc.get("user_event_rates", {})),
-                reuse_connections=bool(doc.get("reuse_connections", False)),
+                services=tuple(_service(svc) for svc in doc["services"]),
+                gateway=doc["gateway"],
+                **{key: doc[key] for key in _TOPOLOGY_OPTIONS if key in doc},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidTopologyError(f"bad topology document: {exc}") from exc
 
 
-def _ints(values, name: str) -> tuple[int, ...]:
-    return tuple(strict_int(value, name) for value in values)
-
-
-def _text(value: object, name: str) -> str:
-    if type(value) is not str:
-        raise ValueError(f"{name} must be a string, got {value!r}")
-    return value
+def _service(doc: object) -> ServiceSpec:
+    check_types(doc, _SERVICE_TYPES)
+    check_types(doc, _SERVICE_OPTIONS, required=False)
+    return ServiceSpec(**{
+        key: tuple(doc[key]) if type(doc[key]) is list else doc[key]
+        for key in (*_SERVICE_TYPES, *_SERVICE_OPTIONS)
+        if key in doc
+    })
 
 
 def load_topology(path: str | Path) -> TopologySpec:

@@ -12,8 +12,25 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .dag import node_identity, node_key
-from .records import strict_int
+from .dag import TUPLE_TYPES, node_identity, node_key
+from .records import check_types
+
+# The keys and types of a truth document as GroundTruth.to_doc writes it: of
+# the document, of each trace, of each span, and of a span of each kind. A
+# root span has neither parent_index nor cause, any other span both.
+_TRUTH_TYPES = {"traces": (list, dict)}
+_TRACE_TYPES = {"trace_id": (int, None), "spans": (list, dict)}
+_SPAN_TYPES = {
+    "kind": (str, None), "owner_pid": (int, None), "comm": (str, None),
+    "trace_id": (int, None), "start_ns": (int, None), "end_ns": (int, None),
+    "tallies": (dict, int),
+}
+_KIND_TYPES = {
+    "network": {"source_thread": (int, None), "conn": (list, None)},
+    "fork": {"parent_thread": (int, None)},
+}
+_ROOT_TYPES = {"parent_index": (type(None), None), "cause": (type(None), None)}
+_CHILD_TYPES = {"parent_index": (int, None), "cause": (str, None)}
 
 
 @dataclass
@@ -56,37 +73,25 @@ class SpanTruth:
         return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> SpanTruth:
-        """A span as to_doc writes it; a value of the wrong type raises
-        ValueError, TypeError or KeyError."""
-        thread = "source_thread" if doc["kind"] == "network" else "parent_thread"
-        conn, parent_index, tallies = doc.get("conn"), doc["parent_index"], doc["tallies"]
-        if conn is not None:
-            src_ip, src_port, dst_ip, dst_port = conn
+    def from_doc(cls, doc: object) -> SpanTruth:
+        """A span as to_doc writes it; a key missing or of the wrong type
+        raises ValueError."""
+        check_types(doc, _SPAN_TYPES)
+        kind = doc["kind"]
+        if kind not in _KIND_TYPES:
+            raise ValueError(f"kind must be network or fork, got {kind!r}")
+        check_types(doc, _KIND_TYPES[kind])
+        check_types(doc, _ROOT_TYPES if doc.get("parent_index") is None else _CHILD_TYPES)
+        conn, thread = None, "parent_thread"
+        if kind == "network":
+            conn, thread = tuple(doc["conn"]), "source_thread"
+            if len(conn) != len(TUPLE_TYPES):
+                raise ValueError(f"conn must hold {len(TUPLE_TYPES)} items, got {len(conn)}")
             # The addresses go into the span's node key as they are.
-            if type(src_ip) is not str or type(dst_ip) is not str:
-                raise ValueError("conn addresses must be strings")
-            conn = (src_ip, strict_int(src_port, "conn port"),
-                    dst_ip, strict_int(dst_port, "conn port"))
-        if parent_index is not None:
-            parent_index = strict_int(parent_index, "parent_index")
-        if not (doc["cause"] is None or type(doc["cause"]) is str):
-            raise ValueError(f"cause must be a string or null, got {doc['cause']!r}")
-        if type(tallies) is not dict:
-            raise ValueError(f"tallies must be an object, got {tallies!r}")
-        return cls(
-            kind=doc["kind"],
-            owner_pid=strict_int(doc["owner_pid"], "owner_pid"),
-            comm=doc["comm"],
-            trace_id=strict_int(doc["trace_id"], "trace_id"),
-            start_ns=strict_int(doc["start_ns"], "start_ns"),
-            end_ns=strict_int(doc["end_ns"], "end_ns"),
-            parent_index=parent_index,
-            cause=doc["cause"],
-            source_thread=strict_int(doc[thread], thread),
-            conn=conn,
-            tallies={event: strict_int(tallies[event], event) for event in tallies},
-        )
+            check_types(dict(zip(TUPLE_TYPES, conn)), TUPLE_TYPES)
+        # The keys of _SPAN_TYPES and _CHILD_TYPES are the names of fields.
+        fields = {key: doc[key] for key in (*_SPAN_TYPES, *_CHILD_TYPES)}
+        return cls(**fields, source_thread=doc[thread], conn=conn)
 
 
 @dataclass
@@ -134,19 +139,23 @@ class GroundTruth:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> GroundTruth:
-        """Truth as to_doc writes it. Each span's parent_index must be None
-        or the index of an earlier span of its trace."""
-        traces = []
-        for trace in doc["traces"]:
+    def from_doc(cls, doc: object) -> GroundTruth:
+        """Truth as to_doc writes it. Each trace id appears once, and each
+        span's parent_index is None or the index of an earlier span of its
+        trace."""
+        traces: dict[int, TraceTruth] = {}
+        for trace in check_types(doc, _TRUTH_TYPES)["traces"]:
+            check_types(trace, _TRACE_TYPES)
+            if trace["trace_id"] in traces:
+                raise ValueError(f"trace_id {trace['trace_id']} appears twice")
             spans = [SpanTruth.from_doc(span) for span in trace["spans"]]
             for index, span in enumerate(spans):
                 if span.parent_index is not None and not 0 <= span.parent_index < index:
                     raise ValueError(
                         f"span {index}: parent_index {span.parent_index} is not an earlier span"
                     )
-            traces.append(TraceTruth(strict_int(trace["trace_id"], "trace_id"), spans))
-        return cls(traces=traces)
+            traces[trace["trace_id"]] = TraceTruth(trace["trace_id"], spans)
+        return cls(traces=list(traces.values()))
 
 
 @dataclass

@@ -35,6 +35,25 @@ def _synth(tmp_path, *extra: str) -> list[str]:
     return sorted(str(p) for p in out.glob("cpu*.log"))
 
 
+def _args_file(tmp_path, *lines: str) -> str:
+    """An @FILE argument naming a file that holds these arguments, one per line."""
+    path = tmp_path / "args.txt"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return f"@{path}"
+
+
+def _usage_error(capsys, argv: list[str]) -> str:
+    """What argparse prints for argv, which it rejects with exit code 2."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    return capsys.readouterr().err
+
+
+def _tree(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 def _reconstruct(tmp_path, logs, *extra: str) -> int:
     return main([
         "reconstruct", *logs, *GATEWAY_FLAGS, *USER_EVENT_FLAGS,
@@ -147,28 +166,41 @@ def test_rerun_into_the_same_out_removes_the_earlier_runs_traces(tmp_path, capsy
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
+    # An @FILE is reconstruct's config file: its lines are read as arguments
+    # where it stands, so a flag after it wins.
     logs = _synth(tmp_path)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "backend": "bpftrace",
-        "gateways": ["10.1.0.2:80"],
-        "user_events": ["page_fault_user", "sched_migrate_task"],
-    }))
-    out = tmp_path / "dags"
-    # config backend does not match the capture: every line counts malformed
-    code = main(["reconstruct", *logs, "--config", str(config), "--out", str(out)])
-    assert code == 0
+    assert _reconstruct(tmp_path, logs) == 0
+    config = _args_file(
+        tmp_path, "--backend=bpftrace", "--gateway=10.1.0.2:80",
+        "--user-event=page_fault_user", "--user-event=sched_migrate_task",
+    )
+    out = tmp_path / "from_file"
+    # the file's backend does not match the capture: every line counts malformed
+    assert main(["reconstruct", *logs, config, "--out", str(out)]) == 0
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert diagnostics["parse"]["parsed"] == 0
     assert diagnostics["parse"]["malformed"] > 0
-    # the flag wins over the config value
-    code = main(["reconstruct", *logs, "--config", str(config),
-                 "--backend", "ftrace", "--out", str(out)])
-    assert code == 0
-    diagnostics = json.loads((out / "diagnostics.json").read_text())
-    assert diagnostics["parse"]["malformed"] == 0
-    assert diagnostics["minted_traces"] == [1, 2]
+    assert main(["reconstruct", *logs, config, "--backend", "ftrace", "--out", str(out)]) == 0
+    assert _tree(out) == _tree(tmp_path / "dags")
     capsys.readouterr()
+
+
+def test_unknown_flag_in_a_config_file_is_a_usage_error(tmp_path, capsys):
+    config = _args_file(tmp_path, *GATEWAY_FLAGS, "--user-events=page_fault_user")
+    out = tmp_path / "dags"
+    err = _usage_error(capsys, ["reconstruct", "whatever.log", config, "--out", str(out)])
+    assert "unrecognized arguments: --user-events=page_fault_user" in err
+    assert not out.exists()
+
+
+def test_undecodable_config_file_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "args.txt"
+    config.write_bytes(b"\xff--strict\n")
+    out = tmp_path / "dags"
+    assert main(["reconstruct", "whatever.log", f"@{config}", *GATEWAY_FLAGS,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("reqflow: cannot decode arguments file: ")
+    assert not out.exists()
 
 
 def test_reconstruct_gantt_flag_writes_gantt_files(tmp_path, capsys):
@@ -180,10 +212,8 @@ def test_reconstruct_gantt_flag_writes_gantt_files(tmp_path, capsys):
 
 
 def test_missing_gateway_is_a_usage_error(tmp_path, capsys):
-    logs = _synth(tmp_path)
-    code = main(["reconstruct", *logs, "--out", str(tmp_path / "dags")])
-    assert code == 2
-    assert "gateway" in capsys.readouterr().err
+    err = _usage_error(capsys, ["reconstruct", "whatever.log", "--out", str(tmp_path / "dags")])
+    assert "the following arguments are required: --gateway" in err
 
 
 def test_structural_user_event_is_a_usage_error(tmp_path, capsys):
@@ -204,50 +234,43 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
 
 
 def test_bad_config_is_a_usage_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text("{broken")
-    code = main(["reconstruct", "whatever.log", "--config", str(config),
-                 "--out", str(tmp_path / "dags")])
-    assert code == 2
-    assert "bad config" in capsys.readouterr().err
+    config, out = tmp_path / "missing.txt", tmp_path / "dags"
+    err = _usage_error(capsys, ["reconstruct", "whatever.log", f"@{config}", *GATEWAY_FLAGS,
+                                "--out", str(out)])
+    assert f"No such file or directory: {str(config)!r}" in err
+    assert not out.exists()
 
 
+# Values as a JSON config file wrote them, each on the line of its flag in an
+# @FILE: a quoted string, a bool, null or a list. The flag rejects each, as
+# it would on the command line.
 BAD_CONFIGS = {
-    "pids_strings": {"pids": ["2066822"]},
-    "pids_bools": {"pids": [True]},
-    "pids_an_int": {"pids": 2066822},
-    "user_events_a_string": {"user_events": "page_fault_user"},
-    "user_events_ints": {"user_events": [1]},
-    "gateways_a_string": {"gateways": "10.1.0.2:80"},
-    "follow_forks_an_int": {"follow_forks": 1},
-    "strict_a_string": {"strict": "no"},
-    "strict_null": {"strict": None},
-    "backend_a_list": {"backend": ["ftrace"]},
+    "pids_strings": '--pid="2066822"',
+    "pids_bools": "--pid=true",
+    "gateways_a_string": '--gateway="10.1.0.2:80"',
+    "follow_forks_an_int": "--follow-forks=1",
+    "strict_a_string": "--strict=no",
+    "strict_null": "--strict=null",
+    "backend_a_list": '--backend=["ftrace"]',
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, name):
-    config = BAD_CONFIGS[name]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    line = BAD_CONFIGS[name]
     out = tmp_path / "dags"
-    code = main(["reconstruct", "whatever.log", *GATEWAY_FLAGS, "--config", str(path),
-                 "--out", str(out)])
-    assert code == 2
-    key = next(iter(config))
-    assert capsys.readouterr().err.startswith(f"reqflow: bad config {path}: {key} must be")
+    err = _usage_error(capsys, ["reconstruct", "whatever.log", *GATEWAY_FLAGS,
+                                _args_file(tmp_path, line), "--out", str(out)])
+    assert f"argument {line.split('=')[0]}: " in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("gateway", ["10.1.0.2:²", 80])
 def test_config_gateway_without_a_decimal_port_is_a_usage_error(tmp_path, capsys, gateway):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"gateways": [gateway]}))
-    code = main(["reconstruct", "whatever.log", "--config", str(config),
-                 "--out", str(tmp_path / "dags")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("reqflow: expected ip:port")
+    config = _args_file(tmp_path, f"--gateway={gateway}")
+    err = _usage_error(capsys, ["reconstruct", "whatever.log", config,
+                                "--out", str(tmp_path / "dags")])
+    assert f"argument --gateway: expected ip:port, got '{gateway}'" in err
 
 
 def test_strict_mode_fails_on_malformed_line(tmp_path, capsys):
@@ -468,9 +491,6 @@ DEEP_JSON_RUNS = {
     "render": (1, lambda deep, out: ["render", deep]),
     "diff_truth": (2, lambda deep, out: ["diff", "trace_1.json", "--truth", deep]),
     "synth_topology": (2, lambda deep, out: ["synth", "--topology", deep, "--out", out]),
-    "reconstruct_config": (2, lambda deep, out: [
-        "reconstruct", "whatever.log", *GATEWAY_FLAGS, "--config", deep, "--out", out,
-    ]),
 }
 
 
@@ -525,14 +545,32 @@ def _span(key, value, index=0):
     return damage
 
 
+# Each damage, and what the message about it names.
 BAD_TRUTH_DOCS = {
-    "trace_id_a_list": lambda doc: {**doc, "traces": [{**doc["traces"][0], "trace_id": [1]}]},
-    "traces_an_int": lambda doc: {**doc, "traces": 5},
-    "conn_an_int": _span("conn", 7),
-    "conn_address_a_list": _span("conn", [["10.1.0.2"], 80, "203.0.113.9", 60000]),
-    "parent_index_out_of_range": _span("parent_index", 99, index=1),
-    "parent_index_not_earlier": _span("parent_index", 1, index=1),
-    "start_ns_a_string": _span("start_ns", "5"),
+    "trace_id_a_list": (
+        lambda doc: {**doc, "traces": [{**doc["traces"][0], "trace_id": [1]}]},
+        "trace_id must be int",
+    ),
+    "trace_id_twice": (
+        lambda doc: {**doc, "traces": doc["traces"] + doc["traces"][:1]},
+        "trace_id 1 appears twice",
+    ),
+    "traces_an_int": (lambda doc: {**doc, "traces": 5}, "traces must be list"),
+    "conn_an_int": (_span("conn", 7), "conn must be list"),
+    "conn_address_a_list": (
+        _span("conn", [["10.1.0.2"], 80, "203.0.113.9", 60000]), "src_ip must be str",
+    ),
+    "conn_three_items": (
+        _span("conn", ["10.1.0.2", 80, "203.0.113.9"]), "conn must hold 4 items, got 3",
+    ),
+    "kind_unknown": (_span("kind", "thread"), "kind must be network or fork"),
+    "parent_index_out_of_range": (
+        _span("parent_index", 99, index=1), "parent_index 99 is not an earlier span",
+    ),
+    "parent_index_not_earlier": (
+        _span("parent_index", 1, index=1), "parent_index 1 is not an earlier span",
+    ),
+    "start_ns_a_string": (_span("start_ns", "5"), "start_ns must be int"),
 }
 
 
@@ -542,10 +580,12 @@ def test_inconsistent_truth_file_is_a_usage_error(tmp_path, capsys, demo_trace, 
     dag = tmp_path / "trace_1.json"
     dag.write_text(json.dumps(doc))
     bad = tmp_path / "truth.json"
-    bad.write_text(json.dumps(BAD_TRUTH_DOCS[damage](json.loads(Path(truth).read_text()))))
+    spoil, named = BAD_TRUTH_DOCS[damage]
+    bad.write_text(json.dumps(spoil(json.loads(Path(truth).read_text()))))
     assert main(["diff", str(dag), "--truth", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"reqflow: bad truth file {bad}: ")
+    assert named in captured.err
     assert captured.out == ""
 
 
@@ -565,6 +605,9 @@ BAD_TOPOLOGY_DOCS = {
     "calls_a_list": _service("calls", [["home-timeline-redis"]]),
     "gateway_a_list": lambda doc: {**doc, "gateway": []},
     "rate_a_string": lambda doc: {**doc, "user_event_rates": {"page_fault_user": "2"}},
+    "rates_a_list": lambda doc: {**doc, "user_event_rates": [["page_fault_user", 2.0]]},
+    "ip_an_int": _service("ip", 167837698),
+    "reuse_connections_a_string": lambda doc: {**doc, "reuse_connections": "no"},
 }
 
 
@@ -589,13 +632,15 @@ def test_bad_fault_probability_fails_before_simulating(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-def test_argparse_usage_errors_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        main(["reconstruct", "x.log", "--backend", "perf", "--out", "y"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
+def test_argparse_usage_errors_exit_2(capsys):
+    for argv, named in (
+        (["reconstruct", "x.log", *GATEWAY_FLAGS, "--backend", "perf", "--out", "y"],
+         "argument --backend: invalid choice: 'perf'"),
+        (["reconstruct", "x.log", "--gateway", "10.1.0.2:²", "--out", "y"],
+         "argument --gateway: expected ip:port"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ):
+        assert named in _usage_error(capsys, argv)
 
 
 def test_module_entry_point_runs():

@@ -1,6 +1,7 @@
 """Property tests: arbitrary record streams replay and build without a crash,
 and handing complete traces out during replay changes no output; the JSON
-writer and the bpftrace parser give what the code they replaced gave.
+writer and the bpftrace parser give what the code they replaced gave; a truth or
+topology document with any value in any key loads or says why it cannot.
 
 Streams run over a few pids and endpoints so that receives, sends, forks,
 exits and pid reuse collide often, and timestamps repeat. Examples are
@@ -21,6 +22,8 @@ from reqflow.dag import build_all_dags, build_trace, export_json, validate_dag
 from reqflow.engine import ReplayEngine
 from reqflow.ingest import MalformedLineError, _parse_kv, parse_bpftrace_line
 from reqflow.records import Endpoint, TraceRecord, dump_json
+from reqflow.synth import demo_topology, load_topology, simulate
+from reqflow.truth import GroundTruth, compare
 
 PIDS = st.integers(min_value=1, max_value=5)
 ENDPOINTS = (
@@ -215,3 +218,58 @@ def test_bpftrace_parser_agrees_with_the_reference(line):
     assert _outcome(parse_bpftrace_line, line) == _outcome(
         _reference_parse_bpftrace_line, line
     )
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _objects(value):
+    """Every non-empty JSON object in value, value itself included."""
+    if isinstance(value, dict):
+        if value:
+            yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _objects(item)
+
+
+def _replace_a_key(data, doc: dict) -> dict:
+    """A copy of doc with one key of one of its objects set to any JSON value
+    or to the value of any key of doc, which is often of the right type."""
+    doc = json.loads(json.dumps(doc))
+    objects = list(_objects(doc))
+    present = [value for holder in objects for value in holder.values()]
+    holder = data.draw(st.sampled_from(objects))
+    value = data.draw(JSON_VALUES | st.sampled_from(present))
+    holder[data.draw(st.sampled_from(sorted(holder)))] = json.loads(json.dumps(value))
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_truth_file_with_any_value_loads_or_says_why(demo_run, data):
+    _streams, truth, _engine, dags = demo_run
+    try:
+        damaged = GroundTruth.from_doc(_replace_a_key(data, truth.to_doc()))
+    except ValueError:
+        return
+    # what reqflow diff does with a truth file it loaded
+    compare([dag.to_doc() for dag in dags], damaged).render()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_topology_with_any_value_loads_or_says_why(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "topology.json"
+    path.write_text(json.dumps(_replace_a_key(data, demo_topology().to_doc())))
+    try:
+        topology = load_topology(path)
+    except ValueError:  # an InvalidTopologyError is one
+        return
+    # what reqflow synth does with a topology it loaded
+    simulate(topology, 1, 1, 0)
