@@ -41,7 +41,6 @@ from .ingest import (
 )
 from .records import Endpoint, ascii_decimal, dump_json, read_json
 from .synth import (
-    FaultMode,
     demo_topology,
     inject_faults,
     load_topology,
@@ -113,7 +112,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             ]
             records = merge_streams(streams)
             if args.pid:
-                records = filter_records(records, args.pid, args.follow_forks)
+                records = filter_records(records, args.pid)
             # Each trace is written once its last span ends, so memory holds
             # the requests in flight and at most one batch of completed ones.
             for trace_id, states in engine.replay(records):
@@ -150,14 +149,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 # synth
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    for probability in (args.drop_user, args.drop_structural):
+        if probability is not None and not 0.0 <= probability <= 1.0:
+            return _fail("probability must be within [0, 1]", 2)
     try:
-        faults = []
-        if args.drop_user is not None:
-            faults.append(FaultMode.drop_user_events(args.drop_user))
-        if args.drop_structural is not None:
-            faults.append(FaultMode.drop_structural(args.drop_structural))
-        if args.truncate is not None:
-            faults.append(FaultMode.truncate(args.truncate))
         if args.demo:
             topology = demo_topology()
         elif args.topology:
@@ -171,10 +166,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:  # an InvalidTopologyError is one
         return _fail(str(exc), 2)
 
-    manifest = []
-    for mode in faults:
-        streams, dropped = inject_faults(streams, mode, args.fault_seed)
-        manifest.extend(dropped)
+    faults = (args.drop_user, args.drop_structural, args.truncate)
+    streams, manifest = inject_faults(streams, args.fault_seed, *faults)
 
     out = Path(args.out)
     try:
@@ -182,7 +175,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         paths = write_streams(streams, out, args.backend)
         _write_json(out / "truth.json", truth.to_doc())
         _write_json(out / "topology.json", topology.to_doc())
-        if faults:
+        if faults != (None, None, None):
             _write_json(out / "fault_manifest.json", manifest)
     except OSError as exc:
         return _fail(f"cannot use output directory: {exc}", 2)
@@ -274,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user-event", action="append", dest="user_event",
                    help="event name to tally against active spans; repeatable")
     p.add_argument("--pid", type=int, action="append",
-                   help="restrict replay to these pids; repeatable")
-    p.add_argument("--follow-forks", action="store_true",
-                   help="extend the pid filter across forks")
+                   help="restrict replay to these pids and the pids they fork; repeatable")
     p.add_argument("--strict", action="store_true",
                    help="fail on the first malformed line instead of counting it")
     p.add_argument("--gantt", action="store_true", help="also write gantt text per trace")

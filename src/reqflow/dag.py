@@ -26,6 +26,7 @@ import statistics
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .engine import EXTERNAL_THREAD, ReplayEngine, State
 from .records import check_types, dump_json
@@ -249,38 +250,22 @@ def validate_dag(dag: RequestDag) -> None:
     by_id = dag.node_by_id()
     if dag.root_id not in by_id:
         raise DagValidationError("root node missing from node list")
-    adjacency: dict[str, list[str]] = {node_id: [] for node_id in by_id}
-    incoming = Counter()
+    parents: dict[str, list[str]] = {node_id: [] for node_id in by_id}
     for parent, child, _cause in dag.edges:
         if parent not in by_id or child not in by_id:
             raise DagValidationError(f"edge references unknown node: {parent}->{child}")
         if by_id[child]["start_ns"] < by_id[parent]["start_ns"]:
             raise DagValidationError(f"child starts before parent: {parent}->{child}")
-        adjacency[parent].append(child)
-        incoming[child] += 1
-    for node_id in by_id:
-        if node_id != dag.root_id and incoming[node_id] == 0:
+        parents[child].append(parent)
+    for node_id, node_parents in parents.items():
+        if node_id != dag.root_id and not node_parents:
             raise DagValidationError(f"non-root node {node_id} has no incoming edge")
-    # reachability and cycle check in one pass
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(by_id, WHITE)
-    color[dag.root_id] = GRAY
-    stack = [(dag.root_id, iter(adjacency[dag.root_id]))]
-    while stack:
-        node_id, pending = stack[-1]
-        for nxt in pending:
-            if color[nxt] == GRAY:
-                raise DagValidationError(f"cycle through {nxt}")
-            if color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, iter(adjacency[nxt])))
-                break
-        else:
-            color[node_id] = BLACK
-            stack.pop()
-    unreachable = [node_id for node_id, c in color.items() if c == WHITE]
-    if unreachable:
-        raise DagValidationError(f"nodes unreachable from root: {unreachable}")
+    # Every other node has a parent, so without a cycle every chain of
+    # parents ends at the root: each node is reachable from it.
+    try:
+        TopologicalSorter(parents).prepare()
+    except CycleError as exc:
+        raise DagValidationError(f"cycle through {exc.args[1][0]}") from None
 
 
 def export_json(dag: RequestDag) -> str:

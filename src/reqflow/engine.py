@@ -54,6 +54,7 @@ from typing import NamedTuple
 from .records import (
     EXIT_EVENT,
     FORK_EVENT,
+    NAME_RE,
     RECEIVE_SYSCALLS,
     SEND_SYSCALLS,
     STRUCTURAL_EVENTS,
@@ -165,6 +166,9 @@ class ReplayEngine:
             raise ValueError(
                 f"user events shadow structural events: {sorted(overlap)}"
             )
+        for event in sorted(self.user_events):
+            if not NAME_RE.fullmatch(event):
+                raise ValueError(f"user event {event!r} not a plain token")
         self.gateway_endpoints = frozenset(
             Endpoint(ip, port) for ip, port in gateway_endpoints
         )

@@ -191,26 +191,21 @@ def merge_streams(streams: Sequence[Iterable[TraceRecord]]) -> Iterator[TraceRec
     return heapq.merge(*checked, key=_MERGE_KEY)
 
 
-def filter_records(
-    records: Iterable[TraceRecord], pids: Iterable[int], follow_forks: bool = False
-) -> Iterator[TraceRecord]:
-    """Keep records of the given pids, optionally following forks.
+def filter_records(records: Iterable[TraceRecord], pids: Iterable[int]) -> Iterator[TraceRecord]:
+    """Keep records of the given pids and of the pids they fork.
 
-    No pids passes everything through. With follow_forks, a
-    sched_process_fork from a retained pid extends the kept pids with the
-    child pid from that point in the stream on. Output order and
-    multiplicity are a subsequence of the input.
+    No pids passes everything through. A sched_process_fork from a retained
+    pid extends the kept pids with the child pid from that point in the
+    stream on: the engine gives the child its parent's spans from that fork
+    record, so a child's records are never noise to the pids that forked it.
+    Output order and multiplicity are a subsequence of the input.
     """
     allowed = set(pids)
     if not allowed:
         yield from records
         return
     for record in records:
-        if (
-            follow_forks
-            and record.event == FORK_EVENT
-            and record.pid in allowed
-        ):
+        if record.event == FORK_EVENT and record.pid in allowed:
             child = ascii_decimal(record.args.get("child_pid"))
             if child is not None:
                 allowed.add(child)

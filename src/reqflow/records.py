@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from dataclasses import dataclass, field
 from json.encoder import INFINITY as _INFINITY
@@ -146,6 +147,10 @@ def _dump(value: object, parts: list[str], newline: str) -> None:
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
+
+# A service or event name: one token of these characters, matched with
+# fullmatch, so a line break or a quote cannot ride along into a capture line.
+NAME_RE = re.compile(r"[A-Za-z0-9_.:/-]+")
 
 # Syscalls whose enter/exit tracepoints bracket TCP activity.
 SEND_SYSCALLS = frozenset(("sendto", "sendmsg", "write", "writev"))

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from collections import Counter
 from collections.abc import Generator
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 from pathlib import Path
 
@@ -28,6 +28,9 @@ from .engine import EXTERNAL_THREAD, Tcp4Tuple
 from .records import (
     EXIT_EVENT,
     FORK_EVENT,
+    NAME_RE,
+    RECEIVE_SYSCALLS,
+    SEND_SYSCALLS,
     STRUCTURAL_EVENTS,
     SYSCALL_ENTER_PREFIX,
     SYSCALL_EXIT_PREFIX,
@@ -43,15 +46,14 @@ from .truth import compare  # noqa: F401  (importable from synth, as the benchma
 
 WORKER_MODELS = ("reuse", "fork_per_request")
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.:/-]+$")
 _EXTERNAL_IP = "203.0.113.9"
 _EPHEMERAL_BASE = 40_000
 _EPHEMERAL_SPAN = 20_000
 _CLIENT_BASE = 60_000
 _CLIENT_SPAN = 5_000
 
-_SEND_CHOICES = ("sendmsg", "sendto", "write", "writev")
-_RECV_CHOICES = ("read", "readv", "recvfrom", "recvmsg")
+_SEND_CHOICES = tuple(sorted(SEND_SYSCALLS))
+_RECV_CHOICES = tuple(sorted(RECEIVE_SYSCALLS))
 _PROBE_CHOICES = tuple(sorted(TCP_SEND_PROBES))
 
 
@@ -102,7 +104,7 @@ class TopologySpec:
         if len(set(pinned)) != len(pinned):
             raise InvalidTopologyError("duplicate pinned pids")
         for svc in self.services:
-            if not _NAME_RE.match(svc.name):
+            if not NAME_RE.fullmatch(svc.name):
                 raise InvalidTopologyError(f"service name {svc.name!r} not a plain token")
             if svc.worker_model not in WORKER_MODELS:
                 raise InvalidTopologyError(
@@ -110,6 +112,8 @@ class TopologySpec:
                 )
             if not (0 < svc.port <= 65535):
                 raise InvalidTopologyError(f"{svc.name}: bad port {svc.port}")
+            if len(svc.service_time_ns) != 2:
+                raise InvalidTopologyError(f"{svc.name}: service_time_ns must hold 2 items")
             lo, hi = svc.service_time_ns
             if lo < 0 or hi < lo:
                 raise InvalidTopologyError(f"{svc.name}: bad service time ({lo}, {hi})")
@@ -119,36 +123,24 @@ class TopologySpec:
         for event, rate in self.user_event_rates.items():
             if event in STRUCTURAL_EVENTS:
                 raise InvalidTopologyError(f"user event {event!r} is structural")
-            if not _NAME_RE.match(event):
+            if not NAME_RE.fullmatch(event):
                 raise InvalidTopologyError(f"user event {event!r} not a plain token")
             # a bool is not a rate, and NaN would never end a Poisson draw
             if type(rate) not in (int, float) or not math.isfinite(rate):
                 raise InvalidTopologyError(f"user event {event!r} rate {rate!r} is not a number")
             if rate < 0:
                 raise InvalidTopologyError(f"user event {event!r} has negative rate")
-        self._check_acyclic(by_name)
-
-    def _check_acyclic(self, by_name: dict[str, ServiceSpec]) -> None:
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = dict.fromkeys(by_name, WHITE)
-        for start in by_name:
-            if color[start] != WHITE:
-                continue
-            color[start] = GRAY
-            path = [start]  # the gray services, in call order
-            pending = [iter(by_name[start].calls)]
-            while pending:
-                target = next(pending[-1], None)
-                if target is None:
-                    color[path.pop()] = BLACK
-                    pending.pop()
-                elif color[target] == GRAY:
-                    cycle = " -> ".join(path[path.index(target):] + [target])
-                    raise InvalidTopologyError(f"call graph has a cycle: {cycle}")
-                elif color[target] == WHITE:
-                    color[target] = GRAY
-                    path.append(target)
-                    pending.append(iter(by_name[target].calls))
+        try:
+            TopologicalSorter({svc.name: svc.calls for svc in self.services}).prepare()
+        except CycleError as exc:
+            # graphlib lists a callee before its caller and repeats the first
+            # one at the end; report the loop in call order, from the service
+            # listed first.
+            loop = exc.args[1][:0:-1]
+            members = set(loop)
+            start = loop.index(next(svc.name for svc in self.services if svc.name in members))
+            cycle = " -> ".join(loop[start:] + loop[:start + 1])
+            raise InvalidTopologyError(f"call graph has a cycle: {cycle}") from None
 
     def to_doc(self) -> dict:
         services = []
@@ -517,62 +509,51 @@ def write_streams(streams, out_dir: str | Path, backend: str) -> list[Path]:
 # ----------------------------------------------------------------------
 # fault injection
 
-@dataclass(frozen=True)
-class FaultMode:
-    kind: str
-    probability: float = 0.0
-    at_ns: int = 0
+def inject_faults(
+    streams,
+    seed: int,
+    drop_user: float | None = None,
+    drop_structural: float | None = None,
+    truncate: int | None = None,
+):
+    """Drop records the way a capture loses them; returns (streams, removal
+    manifest). Each user event is dropped with probability drop_user, each
+    structural record with probability drop_structural, and every record
+    after the truncate timestamp; a fault left None drops nothing.
 
-    @classmethod
-    def drop_user_events(cls, probability: float) -> FaultMode:
-        return cls(kind="drop_user_events", probability=probability)
-
-    @classmethod
-    def drop_structural(cls, probability: float) -> FaultMode:
-        return cls(kind="drop_structural", probability=probability)
-
-    @classmethod
-    def truncate(cls, at_ns: int) -> FaultMode:
-        return cls(kind="truncate", at_ns=at_ns)
-
-    def __post_init__(self):
-        if self.kind not in ("drop_user_events", "drop_structural", "truncate"):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        if not (0.0 <= self.probability <= 1.0):
-            raise ValueError("probability must be within [0, 1]")
-
-
-def inject_faults(streams, mode: FaultMode, seed: int):
-    """Drop records per the fault mode; returns (streams, removal manifest)."""
-    rng = random.Random(seed)
+    User and structural records draw from two generators seeded alike, so
+    one fault drops the same records whichever others are given. A record
+    goes under the first fault that drops it, and the manifest lists the
+    drop_user_events entries, then drop_structural, then truncate."""
+    rngs = {"drop_user_events": random.Random(seed), "drop_structural": random.Random(seed)}
+    manifests: dict[str, list[dict]] = {reason: [] for reason in (*rngs, "truncate")}
     kept_streams = []
-    manifest = []
     for index, stream in enumerate(streams):
         kept = []
         for record in stream:
-            structural = record.event in STRUCTURAL_EVENTS
-            if mode.kind == "truncate":
-                drop = record.timestamp_ns > mode.at_ns
-            elif mode.kind == "drop_user_events":
-                drop = not structural and rng.random() < mode.probability
+            if record.event in STRUCTURAL_EVENTS:
+                reason, probability = "drop_structural", drop_structural
             else:
-                drop = structural and rng.random() < mode.probability
-            if drop:
-                manifest.append(
-                    {
-                        "stream": index,
-                        "seq": record.seq,
-                        "timestamp_ns": record.timestamp_ns,
-                        "cpu": record.cpu,
-                        "pid": record.pid,
-                        "event": record.event,
-                        "reason": mode.kind,
-                    }
-                )
-            else:
-                kept.append(record)
+                reason, probability = "drop_user_events", drop_user
+            lost = probability is not None and rngs[reason].random() < probability
+            if not lost:
+                if truncate is None or record.timestamp_ns <= truncate:
+                    kept.append(record)
+                    continue
+                reason = "truncate"
+            manifests[reason].append(
+                {
+                    "stream": index,
+                    "seq": record.seq,
+                    "timestamp_ns": record.timestamp_ns,
+                    "cpu": record.cpu,
+                    "pid": record.pid,
+                    "event": record.event,
+                    "reason": reason,
+                }
+            )
         kept_streams.append(kept)
-    return kept_streams, manifest
+    return kept_streams, [entry for entries in manifests.values() for entry in entries]
 
 
 # ----------------------------------------------------------------------
@@ -620,10 +601,7 @@ DEMO_REQUESTS = 1
 
 def demo_topology() -> TopologySpec:
     """Bundled two-tier fixture: fork-per-request frontend, one RPC hop."""
-    path = resources.files("reqflow").joinpath("fixtures/two_tier_fork.json")
-    topology = TopologySpec.from_doc(read_json(path))
-    topology.validate()
-    return topology
+    return load_topology(resources.files("reqflow").joinpath("fixtures/two_tier_fork.json"))
 
 
 def demo_simulation() -> tuple[list[list[TraceRecord]], GroundTruth]:

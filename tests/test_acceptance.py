@@ -22,7 +22,6 @@ from reqflow.cli import main
 from reqflow.ingest import merge_streams
 from reqflow.records import STRUCTURAL_EVENTS, TraceRecord
 from reqflow.synth import (
-    FaultMode,
     ServiceSpec,
     TopologySpec,
     demo_simulation,
@@ -168,9 +167,7 @@ def test_criterion_06_damaged_captures_degrade_gracefully():
     for seed in (3, 17, 42):
         topology = random_topology(seed)
         streams, truth = simulate(topology, 30, 3, seed=seed)
-        faulted, manifest = inject_faults(
-            streams, FaultMode.drop_user_events(0.05), seed=99
-        )
+        faulted, manifest = inject_faults(streams, 99, drop_user=0.05)
         _engine, dags = reconstruct(faulted, topology)
         report = compare([dag.to_doc() for dag in dags], truth)
         assert report.structure_empty, (
@@ -184,10 +181,10 @@ def test_criterion_06_damaged_captures_degrade_gracefully():
     for seed in (5, 23):
         topology = random_topology(seed)
         streams, _truth = simulate(topology, 30, 3, seed=seed)
-        faulted, _m1 = inject_faults(streams, FaultMode.drop_structural(0.02), seed=7)
+        faulted, _m1 = inject_faults(streams, 7, drop_structural=0.02)
         last = max(r.timestamp_ns for s in streams for r in s)
         cut = (5_000_000_000 + last) // 2
-        faulted, _m2 = inject_faults(faulted, FaultMode.truncate(cut), seed=8)
+        faulted, _m2 = inject_faults(faulted, 8, truncate=cut)
         engine, dags = reconstruct(faulted, topology)  # validates every dag
         assert len(dags) == len(engine.minted_traces)
     _line(6, "fault injection degrades tallies or diagnostics, never validity")

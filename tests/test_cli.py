@@ -211,6 +211,17 @@ def test_reconstruct_gantt_flag_writes_gantt_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pid_filter_keeps_the_pids_the_listed_ones_fork(tmp_path, capsys):
+    # The demo's listener forks a worker per request; the workers' pids are
+    # not listed, yet their records, redis calls included, are kept.
+    capture = tmp_path / "capture"
+    assert main(["synth", "--demo", "--requests", "3", "--out", str(capture)]) == 0
+    logs = sorted(str(p) for p in capture.glob("cpu*.log"))
+    assert _reconstruct(tmp_path, logs, "--pid", "2066822", "--pid", "1966384") == 0
+    assert main(["diff", str(tmp_path / "dags"), "--truth", str(capture / "truth.json")]) == 0
+    capsys.readouterr()
+
+
 def test_missing_gateway_is_a_usage_error(tmp_path, capsys):
     err = _usage_error(capsys, ["reconstruct", "whatever.log", "--out", str(tmp_path / "dags")])
     assert "the following arguments are required: --gateway" in err
@@ -224,6 +235,18 @@ def test_structural_user_event_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("reqflow: user events shadow structural events")
     assert "tcp_rcv_space_adjust" in err
     assert not (tmp_path / "dags").exists()
+
+
+def test_user_event_that_is_not_a_plain_token_is_a_usage_error(tmp_path, capsys):
+    # An @FILE line is taken as it is, so a JSON-style quoted value keeps
+    # its quotes, and no capture would name such an event.
+    config = _args_file(tmp_path, '--user-event="page_fault_user"')
+    out = tmp_path / "dags"
+    assert main(["reconstruct", "whatever.log", *GATEWAY_FLAGS, config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "reqflow: user event '\"page_fault_user\"' not a plain token\n"
+    )
+    assert not out.exists()
 
 
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
@@ -248,7 +271,6 @@ BAD_CONFIGS = {
     "pids_strings": '--pid="2066822"',
     "pids_bools": "--pid=true",
     "gateways_a_string": '--gateway="10.1.0.2:80"',
-    "follow_forks_an_int": "--follow-forks=1",
     "strict_a_string": "--strict=no",
     "strict_null": "--strict=null",
     "backend_a_list": '--backend=["ftrace"]',
@@ -608,6 +630,21 @@ BAD_TOPOLOGY_DOCS = {
     "rates_a_list": lambda doc: {**doc, "user_event_rates": [["page_fault_user", 2.0]]},
     "ip_an_int": _service("ip", 167837698),
     "reuse_connections_a_string": lambda doc: {**doc, "reuse_connections": "no"},
+    "service_time_three_items": _service("service_time_ns", [1, 2, 3]),
+    "service_time_one_item": _service("service_time_ns", [1]),
+    "name_ends_in_a_newline": lambda doc: _service("name", "nginx\n")(
+        {**doc, "gateway": "nginx\n"}
+    ),
+    "event_ends_in_a_newline": lambda doc: {
+        **doc, "user_event_rates": {"page_fault_user\n": 2.0}
+    },
+}
+# What the error names, where the type table alone does not reject the document.
+TOPOLOGY_ERRORS = {
+    "service_time_three_items": "nginx: service_time_ns must hold 2 items",
+    "service_time_one_item": "nginx: service_time_ns must hold 2 items",
+    "name_ends_in_a_newline": "service name 'nginx\\n' not a plain token",
+    "event_ends_in_a_newline": "user event 'page_fault_user\\n' not a plain token",
 }
 
 
@@ -618,7 +655,9 @@ def test_inconsistent_topology_is_a_usage_error(tmp_path, capsys, damage):
     topology.write_text(json.dumps(BAD_TOPOLOGY_DOCS[damage](doc)))
     out = tmp_path / "capture"
     assert main(["synth", "--topology", str(topology), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("reqflow: ")
+    err = capsys.readouterr().err
+    assert err.startswith("reqflow: ")
+    assert TOPOLOGY_ERRORS.get(damage, "") in err
     assert not out.exists()
 
 

@@ -291,16 +291,8 @@ def test_filter_follow_forks_extends_across_generations():
         _rec(6, 99, event="sched_process_fork", child_pid=100),
         _rec(7, 100),
     ]
-    kept = [r.pid for r in filter_records(iter(records), {10}, follow_forks=True)]
+    kept = [r.pid for r in filter_records(iter(records), {10})]
     assert kept == [10, 11, 11, 12]
-
-
-def test_filter_without_follow_forks_does_not_extend():
-    records = [
-        _rec(1, 10, event="sched_process_fork", child_pid=11),
-        _rec(2, 11),
-    ]
-    assert [r.pid for r in filter_records(iter(records), {10})] == [10]
 
 
 def test_filter_does_not_follow_a_fork_without_a_decimal_child_pid():
@@ -309,4 +301,4 @@ def test_filter_does_not_follow_a_fork_without_a_decimal_child_pid():
         _rec(2, 10, event="sched_process_fork"),
         _rec(3, 2),
     ]
-    assert [r.pid for r in filter_records(iter(records), {10}, follow_forks=True)] == [10, 10]
+    assert [r.pid for r in filter_records(iter(records), {10})] == [10, 10]

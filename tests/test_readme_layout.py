@@ -1,11 +1,15 @@
 """README's Layout section lists, module by module, where each public name
-lives. Every name it lists must exist in the module its bullet names."""
+lives. Every name it lists must exist in the module its bullet names. Its
+CLI synopsis names every flag of each subcommand, and no other."""
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import re
 from pathlib import Path
+
+from reqflow.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +56,27 @@ def test_records_bullet_names_the_json_reader_and_writer():
     text = _layout_bullets()["records"]
     names = {"".join(name.split()) for name in re.findall(r"`([^`]+)`", text)}
     assert {"read_json(path)", "dump_json(doc)"} <= names
+
+
+def _synopsis_flags() -> dict[str, set[str]]:
+    """The flags of each subcommand in README's CLI synopsis block."""
+    block = README.read_text().split("\n## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    flags: dict[str, set[str]] = {}
+    for command, text in re.findall(r"^reqflow (\w+)(.*?)(?=^reqflow |\Z)", block, re.M | re.S):
+        flags[command] = set(re.findall(r"--[a-z-]+", text))
+    return flags
+
+
+def test_cli_synopsis_names_exactly_the_parser_flags():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {
+        command: {
+            flag for action in parser._actions for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for command, parser in subparsers.choices.items()
+    }
+    assert _synopsis_flags() == defined

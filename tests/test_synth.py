@@ -9,7 +9,6 @@ import pytest
 from reqflow.ingest import parse_bpftrace_line, parse_ftrace_line
 from reqflow.records import STRUCTURAL_EVENTS
 from reqflow.synth import (
-    FaultMode,
     InvalidTopologyError,
     ServiceSpec,
     TopologySpec,
@@ -276,7 +275,7 @@ def test_write_streams_one_file_per_cpu(tmp_path):
 
 def test_drop_user_events_never_touches_structure():
     streams, _ = simulate(random_topology(5), 10, 2, seed=5)
-    faulted, manifest = inject_faults(streams, FaultMode.drop_user_events(0.3), seed=1)
+    faulted, manifest = inject_faults(streams, 1, drop_user=0.3)
     assert manifest, "fault rate 0.3 on this workload must drop something"
     assert all(entry["event"] not in STRUCTURAL_EVENTS for entry in manifest)
     assert all(entry["reason"] == "drop_user_events" for entry in manifest)
@@ -290,7 +289,7 @@ def test_drop_user_events_never_touches_structure():
 
 def test_drop_structural_only_drops_structural():
     streams, _ = simulate(random_topology(5), 10, 2, seed=5)
-    _faulted, manifest = inject_faults(streams, FaultMode.drop_structural(0.2), seed=2)
+    _faulted, manifest = inject_faults(streams, 2, drop_structural=0.2)
     assert manifest
     assert all(entry["event"] in STRUCTURAL_EVENTS for entry in manifest)
 
@@ -298,7 +297,7 @@ def test_drop_structural_only_drops_structural():
 def test_truncate_cuts_exactly_at_the_boundary():
     streams, _ = simulate(random_topology(5), 10, 2, seed=5)
     cut = sorted(r.timestamp_ns for s in streams for r in s)[len(streams[0])]
-    faulted, manifest = inject_faults(streams, FaultMode.truncate(cut), seed=0)
+    faulted, manifest = inject_faults(streams, 0, truncate=cut)
     kept_max = max(r.timestamp_ns for s in faulted for r in s)
     dropped_min = min(entry["timestamp_ns"] for entry in manifest)
     assert kept_max <= cut < dropped_min
@@ -306,17 +305,30 @@ def test_truncate_cuts_exactly_at_the_boundary():
 
 def test_fault_injection_is_deterministic():
     streams, _ = simulate(random_topology(5), 10, 2, seed=5)
-    first = inject_faults(streams, FaultMode.drop_user_events(0.5), seed=4)
-    second = inject_faults(streams, FaultMode.drop_user_events(0.5), seed=4)
+    first = inject_faults(streams, 4, drop_user=0.5)
+    second = inject_faults(streams, 4, drop_user=0.5)
     assert first[1] == second[1]
     assert [len(s) for s in first[0]] == [len(s) for s in second[0]]
 
 
-def test_fault_mode_validation():
-    with pytest.raises(ValueError, match="probability"):
-        FaultMode.drop_user_events(1.5)
-    with pytest.raises(ValueError, match="fault kind"):
-        FaultMode(kind="set_on_fire")
+def test_combined_faults_list_user_drops_then_truncation():
+    streams, _ = simulate(random_topology(5), 10, 2, seed=5)
+    cut = sorted(r.timestamp_ns for s in streams for r in s)[len(streams[0])]
+    faulted, manifest = inject_faults(streams, 3, drop_user=1.0, truncate=cut)
+    user = [(i, r.seq) for i, s in enumerate(streams) for r in s
+            if r.event not in STRUCTURAL_EVENTS]
+    late = [(i, r.seq) for i, s in enumerate(streams) for r in s
+            if r.event in STRUCTURAL_EVENTS and r.timestamp_ns > cut]
+    assert any(r.timestamp_ns > cut for s in streams for r in s
+               if r.event not in STRUCTURAL_EVENTS)
+    assert [(e["stream"], e["seq"]) for e in manifest] == user + late
+    assert [e["reason"] for e in manifest] == (
+        ["drop_user_events"] * len(user) + ["truncate"] * len(late)
+    )
+    assert faulted == [
+        [r for r in s if r.event in STRUCTURAL_EVENTS and r.timestamp_ns <= cut]
+        for s in streams
+    ]
 
 
 # ----------------------------------------------------------------------
