@@ -2,11 +2,11 @@
 # Configure ftrace to record the events that `reqflow reconstruct
 # --backend ftrace` understands, then copy the per-cpu buffers out.
 #
-# TEMPLATE, not exercised by the test suite. Requires root and a
-# tracefs mount; the kprobe definitions additionally require a kernel
-# with BTF-typed probe arguments (CONFIG_PROBE_EVENTS_BTF_ARGS). On
-# older kernels prefer capture.bt, which extracts the same fields with
-# bpftrace.
+# TEMPLATE: the test suite checks only the event names it enables
+# against reqflow's, and runs none of it. Requires root and a tracefs
+# mount; the kprobe definitions additionally require a kernel with
+# BTF-typed probe arguments (CONFIG_PROBE_EVENTS_BTF_ARGS). On older
+# kernels prefer capture.bt, which extracts the same fields with bpftrace.
 #
 # Addresses recorded by the kprobes print as raw integers rather than
 # dotted quads. That is fine: the reconstructor treats addresses as

@@ -14,6 +14,7 @@ errors and unusable truth or topology files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -121,14 +122,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         (out / "summary.txt").write_text(render_summary(rows))
         diagnostics = {
             "minted_traces": engine.minted_traces,
-            "counters": dict(sorted(engine.counters.items())),
-            "unattributed": dict(sorted(engine.unattributed.items())),
-            "parse": {
-                "parsed": stats.parsed,
-                "skipped": stats.skipped,
-                "malformed": stats.malformed,
-                "errors": stats.errors,
-            },
+            "counters": engine.counters,
+            "unattributed": engine.unattributed,
+            "parse": dataclasses.asdict(stats),
         }
         _write_json(out / "diagnostics.json", diagnostics)
     except MalformedLineError as exc:
@@ -234,11 +230,11 @@ def cmd_render(args: argparse.Namespace) -> int:
     if not args.summary and args.width < 40:
         return _fail("--width must be at least 40", 2)
     dags = []
-    for name in args.dags:
+    for path in _collect_dag_paths(args.dags):
         try:
-            dags.append(_load_dag(Path(name)))
+            dags.append(_load_dag(path))
         except _BAD_DOC as exc:
-            return _fail(f"bad dag document {name}: {exc}", 1)
+            return _fail(f"bad dag document {path}: {exc}", 1)
     if args.summary:
         sys.stdout.write(render_summary(summarize(dags)))
         return 0
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("render", help="print gantt charts or a summary table")
-    p.add_argument("dags", nargs="+", help="dag json files")
+    p.add_argument("dags", nargs="+", help="dag json files or directories of trace_*.json")
     p.add_argument("--summary", action="store_true", help="one table over all inputs")
     p.add_argument("--width", type=int, default=100, help="gantt bar width in columns")
     p.set_defaults(func=cmd_render)

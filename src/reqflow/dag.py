@@ -5,17 +5,18 @@ arrival state (the network state whose source_thread is the external
 sentinel). Edges are the causes the engine recorded: each state's parents
 are the states of its trace that were active on the sending thread or the
 forking parent when the state was created, and each becomes one edge,
-labelled tcp for a network child and fork for a fork child. The builder
-only groups states into nodes and walks from the root to find which are
-reachable. States of the trace that are not reachable are exported under
+whose cause CAUSE_OF reads from the child's kind. The builder only groups
+states into nodes and walks from the root to find which are reachable.
+States of the trace that are not reachable are exported under
 diagnostics.orphans, never attached heuristically and never dropped.
 
 build_trace builds one trace from its states alone, so each trace
 ReplayEngine.replay() yields can be built, written and freed at once.
 
-A node is a plain dict, the very document the export writes, and
+A node and an edge are plain dicts, the very documents the export writes.
 RequestDag.from_doc checks each node it reads against _NODE_TYPES and its
-identity against _IDENTITY_TYPES.
+identity against _IDENTITY_TYPES, and validate_dag each edge's cause
+against its child's kind.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ SCHEMA_VERSION = "1"
 
 CAUSE_TCP = "tcp"
 CAUSE_FORK = "fork"
+# What causes a state of each kind: every edge into it carries this cause.
+CAUSE_OF = {"network": CAUSE_TCP, "fork": CAUSE_FORK}
 
 # Gantt rows indent two columns per level up to this depth. Deeper rows keep
 # this indent and print their depth, so a chart grows linearly with depth.
@@ -72,15 +75,12 @@ _DAG_TYPES = {
 _DIAGNOSTICS_TYPES = {"orphans": (list, dict), "counters": (dict, int)}
 
 
-Edge = tuple[str, str, str]  # (parent state_id, child state_id, cause)
-
-
 @dataclass
 class RequestDag:
     trace_id: int
     root_id: str
     nodes: list[dict]
-    edges: list[Edge]
+    edges: list[dict]
     orphans: list[dict] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
 
@@ -93,20 +93,14 @@ class RequestDag:
             "trace_id": self.trace_id,
             "root": self.root_id,
             "nodes": self.nodes,
-            "edges": [
-                {"parent": p, "child": c, "cause": cause}
-                for p, c, cause in self.edges
-            ],
-            "diagnostics": {
-                "orphans": self.orphans,
-                "counters": dict(sorted(self.counters.items())),
-            },
+            "edges": self.edges,
+            "diagnostics": {"orphans": self.orphans, "counters": self.counters},
         }
 
     @classmethod
     def from_doc(cls, doc: object) -> RequestDag:
-        """A dag document as to_doc writes it; its nodes are kept, not
-        copied. A key missing or of the wrong type raises ValueError."""
+        """A dag document as to_doc writes it; its nodes and edges are kept,
+        not copied. A key missing or of the wrong type raises ValueError."""
         check_types(doc, _DAG_TYPES)
         diagnostics = check_types(doc["diagnostics"], _DIAGNOSTICS_TYPES)
         for node in doc["nodes"] + diagnostics["orphans"]:
@@ -120,13 +114,11 @@ class RequestDag:
                 check_types(identity["tuple"], TUPLE_TYPES, exact=True)
         for edge in doc["edges"]:
             check_types(edge, _EDGE_TYPES)
-            if edge["cause"] not in (CAUSE_TCP, CAUSE_FORK):
-                raise ValueError(f"cause must be tcp or fork, got {edge['cause']!r}")
         return cls(
             trace_id=doc["trace_id"],
             root_id=doc["root"],
             nodes=doc["nodes"],
-            edges=[(e["parent"], e["child"], e["cause"]) for e in doc["edges"]],
+            edges=doc["edges"],
             orphans=diagnostics["orphans"],
             counters=diagnostics["counters"],
         )
@@ -204,15 +196,15 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
         for parent in state.parents:
             children.setdefault(id(parent), []).append(state)
 
-    edges: list[Edge] = []
+    edges: list[dict] = []
     reachable: set[int] = {id(root_state)}
     stack = [root_state]
     while stack:
         parent = stack.pop()
         parent_id = node_of[id(parent)]["state_id"]
         for child in children.get(id(parent), ()):
-            cause = CAUSE_TCP if child.kind == "network" else CAUSE_FORK
-            edges.append((parent_id, node_of[id(child)]["state_id"], cause))
+            child_id = node_of[id(child)]["state_id"]
+            edges.append({"parent": parent_id, "child": child_id, "cause": CAUSE_OF[child.kind]})
             if id(child) not in reachable:
                 reachable.add(id(child))
                 stack.append(child)
@@ -221,9 +213,9 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
     orphans = [node for state, node in entries if id(state) not in reachable]
     nodes.sort(key=lambda n: (n["start_ns"], n["state_id"]))
     orphans.sort(key=lambda n: (n["start_ns"], n["state_id"]))
-    edges.sort()
+    edges.sort(key=lambda e: (e["parent"], e["child"], e["cause"]))
 
-    incoming = Counter(child for _, child, _ in edges)
+    incoming = Counter(edge["child"] for edge in edges)
     counters = {
         "orphan_states": len(orphans),
         "multi_parent_nodes": sum(1 for n in incoming.values() if n > 1),
@@ -246,14 +238,18 @@ def build_all_dags(engine: ReplayEngine) -> Iterator[RequestDag]:
 
 
 def validate_dag(dag: RequestDag) -> None:
-    """Independent structural check: rooted, connected, acyclic, ordered."""
+    """Independent structural check: rooted, connected, acyclic, ordered,
+    and each edge's cause the one its child's kind gives."""
     by_id = dag.node_by_id()
     if dag.root_id not in by_id:
         raise DagValidationError("root node missing from node list")
     parents: dict[str, list[str]] = {node_id: [] for node_id in by_id}
-    for parent, child, _cause in dag.edges:
+    for edge in dag.edges:
+        parent, child = edge["parent"], edge["child"]
         if parent not in by_id or child not in by_id:
             raise DagValidationError(f"edge references unknown node: {parent}->{child}")
+        if edge["cause"] != CAUSE_OF[by_id[child]["kind"]]:
+            raise DagValidationError(f"edge cause {edge['cause']!r} contradicts {child}'s kind")
         if by_id[child]["start_ns"] < by_id[parent]["start_ns"]:
             raise DagValidationError(f"child starts before parent: {parent}->{child}")
         parents[child].append(parent)
@@ -277,8 +273,8 @@ def export_json(dag: RequestDag) -> str:
 def _dfs_rows(dag: RequestDag) -> list[tuple[dict, int]]:
     by_id = dag.node_by_id()
     children: dict[str, list[str]] = {node_id: [] for node_id in by_id}
-    for parent, child, _cause in dag.edges:
-        children[parent].append(child)
+    for edge in dag.edges:
+        children[edge["parent"]].append(edge["child"])
     for node_id in children:
         children[node_id].sort(key=lambda c: (by_id[c]["start_ns"], c))
     rows: list[tuple[dict, int]] = []

@@ -28,9 +28,10 @@ thread while they are active.
 
 Causality is recorded, not inferred: a propagated or forked state's parents
 are the states of its trace that were active on the sending thread or the
-forking parent at the moment the state was created. A minted arrival state
-has no parents. The DAG builder turns these into edges as they are. Replay
-is single pass and deterministic: identical input streams produce identical
+forking parent at the moment the state was created. Receive and fork copy
+traces by one rule, ReplayEngine._propagate. A minted arrival state has no
+parents. The DAG builder turns these into edges as they are. Replay is
+single pass and deterministic: identical input streams produce identical
 pools.
 
 Ended states are kept per trace. A trace whose last active state ends is
@@ -45,7 +46,6 @@ holds every trace for a caller that builds them all at once.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -67,8 +67,6 @@ from .records import (
     TraceRecord,
     ascii_decimal,
 )
-
-log = logging.getLogger(__name__)
 
 # Sentinel thread id for untraced peers (outside clients). Never a real pid.
 EXTERNAL_THREAD = 0
@@ -259,6 +257,24 @@ class ReplayEngine:
             flag = FLAG_ENDED_BY_EXIT if state.kind == "network" else None
             self._end_state(thread, state, end_ns, flag)
 
+    def _propagate(
+        self, source: Thread, target: Thread, start_ns: int, conn: Tcp4Tuple | None = None
+    ) -> None:
+        """Copy every trace active on source onto target: as network states
+        on conn, or without one as fork states. Each new state's parents are
+        source's states of its trace; a copy target already holds is counted
+        as a duplicate."""
+        kind, duplicate = ("fork", "duplicate_fork") if conn is None else (
+            "network", "duplicate_receive"
+        )
+        for trace_id, parents in source.active_by_trace().items():
+            state = State(
+                kind=kind, source_thread=source.pid, trace_id=trace_id,
+                owner_pid=target.pid, start_ns=start_ns, conn=conn, parents=parents,
+            )
+            if not self._add_state(target, state):
+                self.counters[duplicate] += 1
+
     def _take_completed(self) -> list[tuple[int, list[State]]]:
         taken = [
             (trace_id, self.states_by_trace.pop(trace_id))
@@ -305,10 +321,6 @@ class ReplayEngine:
             name = record.event[len(SYSCALL_ENTER_PREFIX):]
             if thread.in_syscall is not None:
                 self.counters["nested_syscall_enter"] += 1
-                log.debug(
-                    "pid %d enters %s while inside %s",
-                    thread.pid, name, thread.in_syscall,
-                )
             thread.in_syscall = name
         else:
             thread.in_syscall = None
@@ -364,32 +376,16 @@ class ReplayEngine:
                 return
             # The sender's states now, not at the send: a trace that has
             # completed since is never extended.
-            for trace_id, parents in sender.active_by_trace().items():
-                state = State(
-                    kind="network",
-                    source_thread=sender.pid,
-                    trace_id=trace_id,
-                    owner_pid=thread.pid,
-                    start_ns=record.timestamp_ns,
-                    conn=direction,
-                    parents=parents,
-                )
-                if not self._add_state(thread, state):
-                    self.counters["duplicate_receive"] += 1
+            self._propagate(sender, thread, record.timestamp_ns, direction)
         elif local in self.gateway_endpoints:
             # Arrival on a gateway endpoint with no observed in-flight
             # request: traffic from the untraced outside, new trace.
             trace_id = self._mint()
             direction = Tcp4Tuple(src=remote, dst=local)
-            state = State(
-                kind="network",
-                source_thread=EXTERNAL_THREAD,
-                trace_id=trace_id,
-                owner_pid=thread.pid,
-                start_ns=record.timestamp_ns,
-                conn=direction,
-            )
-            self._add_state(thread, state)
+            self._add_state(thread, State(
+                kind="network", source_thread=EXTERNAL_THREAD, trace_id=trace_id,
+                owner_pid=thread.pid, start_ns=record.timestamp_ns, conn=direction,
+            ))
             self.sockets[key] = (EXTERNAL_THREAD, direction)
         elif key not in self.sockets:
             self.counters["receive_on_unknown_socket"] += 1
@@ -413,17 +409,7 @@ class ReplayEngine:
             return
         child_comm = record.args.get("child_comm", parent.comm)
         child = self._spawn_child(child_pid, child_comm, record.timestamp_ns)
-        for trace_id, parents in parent.active_by_trace().items():
-            state = State(
-                kind="fork",
-                source_thread=parent.pid,
-                trace_id=trace_id,
-                owner_pid=child_pid,
-                start_ns=record.timestamp_ns,
-                parents=parents,
-            )
-            if not self._add_state(child, state):
-                self.counters["duplicate_fork"] += 1
+        self._propagate(parent, child, record.timestamp_ns)
 
     def _exit(self, record: TraceRecord) -> None:
         thread = self.threads.get(record.pid)

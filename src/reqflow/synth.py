@@ -23,7 +23,6 @@ from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 from pathlib import Path
 
-from .dag import CAUSE_FORK, CAUSE_TCP
 from .engine import EXTERNAL_THREAD, Tcp4Tuple
 from .records import (
     EXIT_EVENT,
@@ -106,6 +105,8 @@ class TopologySpec:
         for svc in self.services:
             if not NAME_RE.fullmatch(svc.name):
                 raise InvalidTopologyError(f"service name {svc.name!r} not a plain token")
+            if not NAME_RE.fullmatch(svc.ip):
+                raise InvalidTopologyError(f"{svc.name}: ip {svc.ip!r} not a plain token")
             if svc.worker_model not in WORKER_MODELS:
                 raise InvalidTopologyError(
                     f"{svc.name}: worker_model must be one of {WORKER_MODELS}"
@@ -161,7 +162,7 @@ class TopologySpec:
         return {
             "gateway": self.gateway,
             "reuse_connections": self.reuse_connections,
-            "user_event_rates": dict(sorted(self.user_event_rates.items())),
+            "user_event_rates": self.user_event_rates,
             "services": services,
         }
 
@@ -351,17 +352,16 @@ class _Simulation:
         spans: list[SpanTruth] = []
         _drive(self._serve(
             gateway, conn, rcv_ts, trace_id, spans,
-            parent_index=None, source_thread=EXTERNAL_THREAD, cause=None,
-            requester=None,
+            parent_index=None, source_thread=EXTERNAL_THREAD, requester=None,
         ))
         self.truth_traces.append(TraceTruth(trace_id, spans))
 
     def _serve(self, svc, conn, rcv_ts, trace_id, spans, parent_index,
-               source_thread, cause, requester) -> Generator:
+               source_thread, requester) -> Generator:
         listener = self.pids[svc.name]
         span = SpanTruth(
             kind="network", owner_pid=listener, comm=svc.name, trace_id=trace_id,
-            start_ns=rcv_ts, end_ns=0, parent_index=parent_index, cause=cause,
+            start_ns=rcv_ts, end_ns=0, parent_index=parent_index,
             source_thread=source_thread, conn=(*conn.src, *conn.dst),
         )
         spans.append(span)
@@ -378,8 +378,7 @@ class _Simulation:
             )
             fork_span = SpanTruth(
                 kind="fork", owner_pid=child, comm=svc.name, trace_id=trace_id,
-                start_ns=fork_ts, end_ns=0, parent_index=my_index, cause=CAUSE_FORK,
-                source_thread=listener,
+                start_ns=fork_ts, end_ns=0, parent_index=my_index, source_thread=listener,
             )
             spans.append(fork_span)
             fork_index = len(spans) - 1
@@ -411,8 +410,7 @@ class _Simulation:
             _, rcv_ts = self._message((worker, comm), conn, (listener, callee.name))
             yield self._serve(
                 callee, conn, rcv_ts, trace_id, spans,
-                parent_index=parent_index, source_thread=worker, cause=CAUSE_TCP,
-                requester=(worker, comm),
+                parent_index=parent_index, source_thread=worker, requester=(worker, comm),
             )
             self._emit_user(worker, comm, plan[position + 1])
         self._emit_user(worker, comm, plan[-1])

@@ -12,12 +12,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .dag import TUPLE_TYPES, node_identity, node_key
+from .dag import CAUSE_OF, TUPLE_TYPES, node_identity, node_key
 from .records import check_types
 
 # The keys and types of a truth document as GroundTruth.to_doc writes it: of
 # the document, of each trace, of each span, and of a span of each kind. A
-# root span has neither parent_index nor cause, any other span both.
+# root span has neither parent_index nor cause, any other span both, and
+# from_doc holds its cause to the one SpanTruth.cause derives.
 _TRUTH_TYPES = {"traces": (list, dict)}
 _TRACE_TYPES = {"trace_id": (int, None), "spans": (list, dict)}
 _SPAN_TYPES = {
@@ -42,11 +43,15 @@ class SpanTruth:
     start_ns: int
     end_ns: int
     parent_index: int | None
-    cause: str | None
     # The pid the trace came from: the sender, or the forking thread.
     source_thread: int
     conn: tuple | None = None  # (src_ip, src_port, dst_ip, dst_port); no fork has one
     tallies: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def cause(self) -> str | None:
+        """What caused the span: nothing for a root, else its kind's cause."""
+        return None if self.parent_index is None else CAUSE_OF[self.kind]
 
     def key(self) -> str:
         """The span's dag.node_key, equal to its reconstructed node's."""
@@ -63,7 +68,7 @@ class SpanTruth:
             "end_ns": self.end_ns,
             "parent_index": self.parent_index,
             "cause": self.cause,
-            "tallies": dict(sorted(self.tallies.items())),
+            "tallies": self.tallies,
         }
         if self.kind == "network":
             doc["source_thread"] = self.source_thread
@@ -89,9 +94,12 @@ class SpanTruth:
                 raise ValueError(f"conn must hold {len(TUPLE_TYPES)} items, got {len(conn)}")
             # The addresses go into the span's node key as they are.
             check_types(dict(zip(TUPLE_TYPES, conn)), TUPLE_TYPES)
-        # The keys of _SPAN_TYPES and _CHILD_TYPES are the names of fields.
-        fields = {key: doc[key] for key in (*_SPAN_TYPES, *_CHILD_TYPES)}
-        return cls(**fields, source_thread=doc[thread], conn=conn)
+        # The keys of _SPAN_TYPES and parent_index are the names of fields.
+        fields = {key: doc[key] for key in (*_SPAN_TYPES, "parent_index")}
+        span = cls(**fields, source_thread=doc[thread], conn=conn)
+        if doc["cause"] != span.cause:
+            raise ValueError(f"cause must be {span.cause!r} for this span, got {doc['cause']!r}")
+        return span
 
 
 @dataclass

@@ -92,13 +92,13 @@ def test_criterion_02_demo_fixture_shape_and_golden_bytes():
     by_id = {node["state_id"]: node for node in dag.nodes}
 
     fork_edges = [
-        (by_id[p]["owner_pid"], by_id[c]["owner_pid"])
-        for p, c, cause in dag.edges if cause == "fork"
+        (by_id[edge["parent"]]["owner_pid"], by_id[edge["child"]]["owner_pid"])
+        for edge in dag.edges if edge["cause"] == "fork"
     ]
     assert fork_edges == [(2066822, 2066823)]
     tcp_edges = [
-        (by_id[p]["owner_pid"], by_id[c]["owner_pid"])
-        for p, c, cause in dag.edges if cause == "tcp"
+        (by_id[edge["parent"]]["owner_pid"], by_id[edge["child"]]["owner_pid"])
+        for edge in dag.edges if edge["cause"] == "tcp"
     ]
     assert tcp_edges == [(2066823, 1966384)]
     for node in dag.nodes:

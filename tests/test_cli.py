@@ -394,6 +394,18 @@ def test_render_prints_gantt_and_summary(tmp_path, capsys):
     assert "traces=1" in capsys.readouterr().out
 
 
+def test_render_reads_a_directory_as_diff_does(tmp_path, capsys):
+    _reconstruct(tmp_path, _synth(tmp_path))
+    capsys.readouterr()
+    dags = tmp_path / "dags"
+    files = sorted(str(path) for path in dags.glob("trace_*.json"))
+    assert len(files) == 2
+    assert main(["render", *files]) == 0
+    expected = capsys.readouterr().out
+    assert main(["render", str(dags)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_render_rejects_narrow_width(tmp_path, capsys):
     logs = _synth(tmp_path)
     _reconstruct(tmp_path, logs)
@@ -425,6 +437,12 @@ def _first_edge(key, value):
         doc["edges"][0][key] = value
         return doc
     return damage
+
+
+def _swap_causes(doc):
+    for edge in doc["edges"]:
+        edge["cause"] = {"tcp": "fork", "fork": "tcp"}[edge["cause"]]
+    return doc
 
 
 def _node_without_identity(doc):
@@ -468,6 +486,8 @@ def _last_node(key, retype):
 BAD_DAG_DOCS = {
     "unknown_edge_parent": _first_edge("parent", "deadbeef0000"),
     "edge_cause_a_list": _first_edge("cause", ["tcp"]),
+    "edge_cause_contradicts_child_kind": _swap_causes,
+    "edge_cause_unknown": _first_edge("cause", "bogus"),
     "node_without_identity": _node_without_identity,
     "trace_id_a_list": lambda doc: {**doc, "trace_id": [1]},
     "trace_id_a_bool": lambda doc: {**doc, "trace_id": True},
@@ -593,6 +613,9 @@ BAD_TRUTH_DOCS = {
         _span("parent_index", 1, index=1), "parent_index 1 is not an earlier span",
     ),
     "start_ns_a_string": (_span("start_ns", "5"), "start_ns must be int"),
+    "cause_unknown": (
+        _span("cause", "bogus", index=1), "cause must be 'fork' for this span, got 'bogus'",
+    ),
 }
 
 
@@ -611,9 +634,9 @@ def test_inconsistent_truth_file_is_a_usage_error(tmp_path, capsys, demo_trace, 
     assert captured.out == ""
 
 
-def _service(key, value):
+def _service(key, value, index=0):
     def damage(doc):
-        doc["services"][0][key] = value
+        doc["services"][index][key] = value
         return doc
     return damage
 
@@ -629,6 +652,8 @@ BAD_TOPOLOGY_DOCS = {
     "rate_a_string": lambda doc: {**doc, "user_event_rates": {"page_fault_user": "2"}},
     "rates_a_list": lambda doc: {**doc, "user_event_rates": [["page_fault_user", 2.0]]},
     "ip_an_int": _service("ip", 167837698),
+    "ip_holds_a_tab": _service("ip", "10.1.0.7\tx", index=1),
+    "ip_holds_a_newline": _service("ip", "10.1.0.7\nx", index=1),
     "reuse_connections_a_string": lambda doc: {**doc, "reuse_connections": "no"},
     "service_time_three_items": _service("service_time_ns", [1, 2, 3]),
     "service_time_one_item": _service("service_time_ns", [1]),
@@ -645,6 +670,8 @@ TOPOLOGY_ERRORS = {
     "service_time_one_item": "nginx: service_time_ns must hold 2 items",
     "name_ends_in_a_newline": "service name 'nginx\\n' not a plain token",
     "event_ends_in_a_newline": "user event 'page_fault_user\\n' not a plain token",
+    "ip_holds_a_tab": "home-timeline-redis: ip '10.1.0.7\\tx' not a plain token",
+    "ip_holds_a_newline": "home-timeline-redis: ip '10.1.0.7\\nx' not a plain token",
 }
 
 

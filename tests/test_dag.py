@@ -67,7 +67,7 @@ def test_two_hop_chain_builds_expected_edges():
     validate_dag(dag)
     assert len(dag.nodes) == 2
     assert dag.nodes[0]["state_id"] == dag.root_id
-    assert [cause for _, _, cause in dag.edges] == [CAUSE_TCP]
+    assert [edge["cause"] for edge in dag.edges] == [CAUSE_TCP]
     assert dag.counters == {"orphan_states": 0, "multi_parent_nodes": 0}
 
 
@@ -94,7 +94,7 @@ def test_fork_edge_carries_fork_cause():
     ended = _by_trace([1], [_thread(1, "gw", root), _thread(42, "worker", worker)])
     dag = build_trace(1, ended[1])
     validate_dag(dag)
-    assert [cause for _, _, cause in dag.edges] == [CAUSE_FORK]
+    assert [edge["cause"] for edge in dag.edges] == [CAUSE_FORK]
     fork_node = next(node for node in dag.nodes if node["kind"] == "fork")
     assert fork_node["identity"] == {"parent_thread": 1, "trace_id": 1}
 
@@ -119,7 +119,7 @@ def test_node_with_two_recorded_parents_gets_both_edges():
     dag = build_trace(1, ended[1])
     validate_dag(dag)
     leaf_id = next(n["state_id"] for n in dag.nodes if n["owner_pid"] == 3)
-    incoming = [edge for edge in dag.edges if edge[1] == leaf_id]
+    incoming = [edge for edge in dag.edges if edge["child"] == leaf_id]
     assert len(incoming) == 2
     assert dag.counters["multi_parent_nodes"] == 1
 
@@ -209,17 +209,21 @@ def _node(state_id, owner_pid, comm, start_ns, end_ns, trace_id=1, event_tallies
     }
 
 
+def _edge(parent, child) -> dict:
+    return {"parent": parent, "child": child, "cause": CAUSE_TCP}
+
+
 def _tiny_dag() -> RequestDag:
     nodes = [_node("n:1:aaa", 1, "gw", 100, 400), _node("n:2:bbb", 2, "svc", 150, 300)]
     return RequestDag(
         trace_id=1, root_id="n:1:aaa", nodes=nodes,
-        edges=[("n:1:aaa", "n:2:bbb", CAUSE_TCP)],
+        edges=[_edge("n:1:aaa", "n:2:bbb")],
     )
 
 
 def test_validate_rejects_edge_to_unknown_node():
     dag = _tiny_dag()
-    dag.edges.append(("n:1:aaa", "ghost", CAUSE_TCP))
+    dag.edges.append(_edge("n:1:aaa", "ghost"))
     with pytest.raises(DagValidationError, match="unknown node"):
         validate_dag(dag)
 
@@ -239,8 +243,8 @@ def test_validate_rejects_unreachable_and_cycles():
     cyclic = _tiny_dag()
     # equal start times so the cycle is the only defect
     cyclic.nodes.append(_node("n:3:ccc", 3, "x", 150, 250))
-    cyclic.edges.append(("n:2:bbb", "n:3:ccc", CAUSE_TCP))
-    cyclic.edges.append(("n:3:ccc", "n:2:bbb", CAUSE_TCP))
+    cyclic.edges.append(_edge("n:2:bbb", "n:3:ccc"))
+    cyclic.edges.append(_edge("n:3:ccc", "n:2:bbb"))
     with pytest.raises(DagValidationError, match="cycle"):
         validate_dag(cyclic)
 

@@ -319,7 +319,7 @@ def test_fork_tied_with_a_later_receive_records_only_earlier_states():
     assert len(engine.threads[2].active_states) == 2
     (dag,) = replayed(script).values()
     child_id = next(node["state_id"] for node in dag.nodes if node["owner_pid"] == 42)
-    assert len([edge for edge in dag.edges if edge[1] == child_id]) == 1
+    assert len([edge for edge in dag.edges if edge["child"] == child_id]) == 1
     assert dag.counters["multi_parent_nodes"] == 0
 
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 from reqflow.records import (
     EXIT_EVENT,
     FORK_EVENT,
+    NAME_RE,
     RECEIVE_SYSCALLS,
     SEND_SYSCALLS,
     STRUCTURAL_EVENTS,
@@ -42,3 +46,28 @@ def test_trace_record_defaults():
 def test_endpoint_is_ordered_and_prints():
     assert Endpoint("10.0.0.1", 80) < Endpoint("10.0.0.2", 1)
     assert str(Endpoint("10.0.0.1", 80)) == "10.0.0.1:80"
+
+
+CAPTURE = Path(__file__).resolve().parent.parent / "capture"
+
+
+def test_capture_templates_record_exactly_the_structural_events():
+    # capture.bt: the event column of every line it prints is a literal
+    # name, never bpftrace's probe builtin, and each tracepoint prints its
+    # own name. Comments (its user-event example) print nothing.
+    script = re.sub(r"/\*.*?\*/", "", (CAPTURE / "capture.bt").read_text(), flags=re.S)
+    printed = {}
+    for probe, fmt in re.findall(r'(\S+)\s*\{[^{}]*?printf\("([^"]*)"', script):
+        columns = fmt.split("\\t")
+        if len(columns) >= 5:
+            printed[probe] = columns[4].removesuffix("\\n")
+    assert all(NAME_RE.fullmatch(event) for event in printed.values()), printed
+    assert set(printed.values()) == STRUCTURAL_EVENTS
+    for probe, event in printed.items():
+        if probe.startswith("tracepoint:"):
+            assert probe.rsplit(":", 1)[1] == event
+    # ftrace_capture.sh: the syscalls it brackets and the kprobes it adds.
+    shell = (CAPTURE / "ftrace_capture.sh").read_text()
+    (syscalls,) = re.findall(r"^for sc in ([^;]*); do", shell, re.M)
+    assert set(syscalls.split()) == SEND_SYSCALLS | RECEIVE_SYSCALLS
+    assert set(re.findall(r"'p:reqflow/(\w+) ", shell)) == TCP_SEND_PROBES
