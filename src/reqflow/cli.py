@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -40,7 +41,7 @@ from .ingest import (
     merge_streams,
     read_stream,
 )
-from .records import Endpoint, ascii_decimal, dump_json, read_json
+from .records import Endpoint, ascii_decimal, read_json
 from .synth import (
     demo_topology,
     inject_faults,
@@ -67,7 +68,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(dump_json(doc))
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
 from .engine import EXTERNAL_THREAD, ReplayEngine, State
-from .records import check_types, dump_json
+from .records import check_types
 
 SCHEMA_VERSION = "1"
 
@@ -265,9 +265,10 @@ def validate_dag(dag: RequestDag) -> None:
 
 
 def export_json(dag: RequestDag) -> str:
-    """Canonical export: sorted keys, nodes by (start_ns, state_id), edges
-    lexicographic. Byte-identical across runs on identical input."""
-    return dump_json(dag.to_doc())
+    """Canonical export, one line of compact JSON: sorted keys, nodes by
+    (start_ns, state_id), edges lexicographic. Byte-identical across runs on
+    identical input."""
+    return json.dumps(dag.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _dfs_rows(dag: RequestDag) -> list[tuple[dict, int]]:

@@ -175,7 +175,7 @@ class ReplayEngine:
         # The latest thread of each pid, exited or not.
         self.threads: dict[int, Thread] = {}
         self.sockets: dict[tuple[Endpoint, Endpoint], InFlight | None] = {}
-        self._minted = 0  # ids are consecutive from 1
+        self.minted_traces = 0  # trace ids minted so far, consecutive from 1
         # Ended states per trace, keyed at mint so the order is mint order;
         # a trace replay() hands out is removed.
         self.states_by_trace: dict[int, list[State]] = {}
@@ -392,14 +392,9 @@ class ReplayEngine:
         # else: a response landing back on the requester; no state.
 
     def _mint(self) -> int:
-        self._minted += 1
-        self.states_by_trace[self._minted] = []
-        return self._minted
-
-    @property
-    def minted_traces(self) -> list[int]:
-        """Every trace id minted so far, including traces already handed out."""
-        return list(range(1, self._minted + 1))
+        self.minted_traces += 1
+        self.states_by_trace[self.minted_traces] = []
+        return self.minted_traces
 
     def _fork(self, record: TraceRecord) -> None:
         parent = self._thread(record)

@@ -8,7 +8,9 @@ ftrace text reports, one event per line::
 
 The fractional part carries six or nine digits depending on the configured
 trace clock; both normalize to integer nanoseconds. Lines starting with '#'
-are comments. The flags column is optional and ignored.
+are comments. The flags column is optional and ignored. A kprobe event's
+arguments follow its probed address, ``(sym+off/size)`` as
+Documentation/trace/kprobetrace.rst gives it, which is skipped.
 
 bpftrace output following this tool's capture convention, tab separated::
 
@@ -50,11 +52,13 @@ class UnsortedStreamError(ValueError):
 
 
 # comm is greedy so pids embedded in the name ("web-7" pid 42) resolve to the
-# last dash-number group before the cpu bracket.
+# last dash-number group before the cpu bracket. A kprobe's (sym+off/size)
+# token is matched outside the arguments.
 _FTRACE_RE = re.compile(
     r"^\s*(?P<comm>.+)-(?P<pid>\d+)\s+\[(?P<cpu>\d+)\]"
     r"(?:\s+(?P<flags>\S+))?\s+(?P<secs>\d+)\.(?P<frac>\d{6}|\d{9}):\s+"
-    r"(?P<event>[^\s:]+):\s*(?P<args>.*)$"
+    r"(?P<event>[^\s:]+):\s*(?:\([^\s()]+\+0x[0-9a-f]+/0x[0-9a-f]+\)\s*)?"
+    r"(?P<args>.*)$"
 )
 
 
@@ -90,12 +94,13 @@ def parse_ftrace_line(line: str, line_number: int | None = None) -> TraceRecord 
         raise MalformedLineError("unrecognized ftrace line", line_number, line)
     frac = match["frac"]
     scale = 1000 if len(frac) == 6 else 1
-    timestamp_ns = int(match["secs"]) * 1_000_000_000 + int(frac) * scale
+    try:
+        timestamp_ns = int(match["secs"]) * 1_000_000_000 + int(frac) * scale
+        cpu, pid = int(match["cpu"]), int(match["pid"])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise MalformedLineError("integer field too long", line_number, line) from None
     args = _parse_kv(match["args"].split(), line_number, line)
-    return TraceRecord(
-        timestamp_ns, int(match["cpu"]), int(match["pid"]), match["comm"],
-        match["event"], args,
-    )
+    return TraceRecord(timestamp_ns, cpu, pid, match["comm"], match["event"], args)
 
 
 def parse_bpftrace_line(line: str, line_number: int | None = None) -> TraceRecord | None:

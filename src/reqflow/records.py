@@ -6,8 +6,6 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass, field
-from json.encoder import INFINITY as _INFINITY
-from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,9 +39,12 @@ class TraceRecord:
 def ascii_decimal(text: object) -> int | None:
     """The value of a string of ASCII digits, None for anything else.
     str.isdigit() alone also accepts digits such as '²' that int() rejects."""
-    if isinstance(text, str) and text.isascii() and text.isdigit():
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        return None
+    try:
         return int(text)
-    return None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
 
 
 # A value quoted in an error message is cut short: a document may nest a
@@ -86,66 +87,6 @@ def read_json(path) -> object:
         return json.loads(text)
     except RecursionError:
         raise ValueError("json nesting too deep to decode") from None
-
-
-def dump_json(doc: object) -> str:
-    """The canonical text of a document, which every JSON file reqflow writes
-    holds: exactly json.dumps(doc, sort_keys=True, indent=2) + "\\n".
-
-    With an indent, json.dumps always runs CPython's pure-Python encoder,
-    whose generators and closures cost more than the text itself; this
-    writer appends to one list instead. Dict keys must be str."""
-    parts: list[str] = []
-    _dump(doc, parts, "\n")
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _dump(value: object, parts: list[str], newline: str) -> None:
-    """Append value's text; newline is a line break plus value's indent."""
-    if isinstance(value, str):
-        parts.append(_encode_str(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))  # an IntEnum writes its number
-    elif isinstance(value, float):
-        if value != value:
-            parts.append("NaN")
-        elif value in (_INFINITY, -_INFINITY):
-            parts.append("Infinity" if value > 0 else "-Infinity")
-        else:
-            parts.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            parts.append(separator)
-            _dump(item, parts, inner)
-            separator = "," + inner
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(separator + _encode_str(key) + ": ")
-            _dump(value[key], parts, inner)
-            separator = "," + inner
-        parts.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # A service or event name: one token of these characters, matched with

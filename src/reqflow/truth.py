@@ -112,34 +112,9 @@ class TraceTruth:
 class GroundTruth:
     traces: list[TraceTruth]
 
-    @property
-    def external_arrivals(self) -> int:
-        return len(self.traces)
-
-    @property
-    def fork_edges(self) -> list[tuple[int, int]]:
-        """(forking thread, child) of every fork span, in trace and span order."""
-        return [
-            (span.source_thread, span.owner_pid)
-            for trace in self.traces
-            for span in trace.spans
-            if span.kind == "fork"
-        ]
-
-    @property
-    def event_totals(self) -> dict[str, int]:
-        totals: Counter[str] = Counter()
-        for trace in self.traces:
-            for span in trace.spans:
-                totals.update(span.tallies)
-        return dict(sorted(totals.items()))
-
     def to_doc(self) -> dict:
         return {
             "schema_version": "1",
-            "external_arrivals": self.external_arrivals,
-            "fork_edges": [list(edge) for edge in self.fork_edges],
-            "event_totals": self.event_totals,
             "traces": [
                 {"trace_id": t.trace_id, "spans": [s.to_doc() for s in t.spans]}
                 for t in self.traces

@@ -71,12 +71,48 @@ def test_round_trip_synth_reconstruct_diff(tmp_path, capsys):
     ]
     assert (dags / "summary.txt").exists()
     diagnostics = json.loads((dags / "diagnostics.json").read_text())
-    assert diagnostics["minted_traces"] == [1, 2]
+    assert diagnostics["minted_traces"] == 2
     assert diagnostics["parse"]["malformed"] == 0
     code = main(["diff", str(dags), "--truth", str(tmp_path / "capture/truth.json")])
     out = capsys.readouterr().out
     assert code == 0
     assert "clean" in out
+
+
+def test_trace_files_are_compact_lines_and_every_other_json_file_is_indented(tmp_path, capsys):
+    logs = _synth(tmp_path, "--drop-user", "0.1")
+    assert _reconstruct(tmp_path, logs, "--gantt") == 0
+    capsys.readouterr()
+    paths = sorted((*(tmp_path / "capture").glob("*.json"), *(tmp_path / "dags").glob("*.json")))
+    assert [path.name for path in paths] == [
+        "fault_manifest.json", "topology.json", "truth.json",
+        "diagnostics.json", "trace_1.json", "trace_2.json",
+    ]
+    for path in paths:
+        text = path.read_text()
+        doc = json.loads(text)
+        if path.name.startswith("trace_"):
+            assert text.count("\n") == 1, path.name
+            assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n", path.name
+
+
+def test_kprobe_shaped_send_probes_reconstruct_exactly(tmp_path, capsys):
+    # ftrace prints a kprobe's address, (sym+off/size), before its arguments.
+    logs = _synth(tmp_path)
+    rewritten = 0
+    for log in map(Path, logs):
+        text = log.read_text()
+        for probe, symbol in (("tcp_send_sock_sendmsg", "tcp_sendmsg"),
+                              ("tcp_send_sys_sendmsg", "tcp_sendpage")):
+            rewritten += text.count(f" {probe}: ")
+            text = text.replace(f" {probe}: ", f" {probe}: ({symbol}+0x0/0x50) ")
+        log.write_text(text)
+    assert rewritten > 0
+    assert _reconstruct(tmp_path, logs, "--strict") == 0
+    code = main(["diff", str(tmp_path / "dags"), "--truth", str(tmp_path / "capture/truth.json")])
+    assert code == 0, capsys.readouterr().out
 
 
 def test_engine_counters_match_the_golden_diagnostics(tmp_path):

@@ -138,7 +138,7 @@ def test_build_all_dags_yields_in_mint_order(demo_run):
     holder = ReplayEngine([Endpoint("10.0.0.9", 80)])
     holder.states_by_trace = ended
     assert [dag.trace_id for dag in build_all_dags(holder)] == [1, 2, 3]
-    assert [trace.trace_id for trace in truth.traces] == engine.minted_traces
+    assert [trace.trace_id for trace in truth.traces] == list(range(1, engine.minted_traces + 1))
 
 
 def test_export_is_canonical_and_input_order_free():

@@ -121,6 +121,21 @@ def test_ftrace_sched_switch_arrow_continues_prev_state():
     }
 
 
+def test_ftrace_kprobe_address_token_is_skipped():
+    # Documentation/trace/kprobetrace.rst: a kprobe event prints the probed
+    # address as (sym+off/size) before its fetch arguments.
+    record = parse_ftrace_line(
+        "  nginx-2066823 [001] d..1. 5000012.345678901: tcp_send_sock_sendmsg:"
+        " (tcp_sendmsg+0x0/0x50) saddr=10.1.0.2 sport=41000 daddr=10.1.0.7 dport=6379"
+    )
+    assert (record.pid, record.cpu, record.event) == (2066823, 1, "tcp_send_sock_sendmsg")
+    assert record.args == {
+        "saddr": "10.1.0.2", "sport": "41000", "daddr": "10.1.0.7", "dport": "6379",
+    }
+    bare = parse_ftrace_line("x-1 [000] 3.000000123: probe: (tcp_sendpage+0x4/0x90)")
+    assert bare.args == {}
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -129,6 +144,11 @@ def test_ftrace_sched_switch_arrow_continues_prev_state():
         "x-1 [000] .... 3.000000123: sys_enter_read: a=1 a=2",  # duplicate key
         "x-1 [000] .... 3.000000123: sys_enter_read: bare",  # token without key
         "x-1 [000] .... 3.000000123: sys_enter_read: =v",  # empty key
+        "x-1 [000] .... 3.000000123: probe: (tcp_sendmsg+0x0/0x50",  # unclosed address
+        # more digits than int() converts
+        pytest.param("x-1 [000] .... " + "9" * 5000 + ".000000: sys_enter_read:", id="secs"),
+        pytest.param("x-" + "9" * 5000 + " [000] 3.000000: sys_enter_read:", id="pid"),
+        pytest.param("x-1 [" + "9" * 5000 + "] 3.000000: sys_enter_read:", id="cpu"),
     ],
 )
 def test_ftrace_malformed_lines_raise(line):
@@ -298,7 +318,8 @@ def test_filter_follow_forks_extends_across_generations():
 def test_filter_does_not_follow_a_fork_without_a_decimal_child_pid():
     records = [
         _rec(1, 10, event="sched_process_fork", child_pid="²"),  # isdigit(), not int()
+        _rec(1, 10, event="sched_process_fork", child_pid="2" * 5000),  # too long for int()
         _rec(2, 10, event="sched_process_fork"),
         _rec(3, 2),
     ]
-    assert [r.pid for r in filter_records(iter(records), {10})] == [10, 10]
+    assert [r.pid for r in filter_records(iter(records), {10})] == [10, 10, 10]

@@ -1,7 +1,8 @@
 """Property tests: arbitrary record streams replay and build without a crash,
-and handing complete traces out during replay changes no output; the JSON
-writer and the bpftrace parser give what the code they replaced gave; a truth or
-topology document with any value in any key loads or says why it cannot.
+and handing complete traces out during replay changes no output; any text
+lines read into records or malformed-line counts; the bpftrace parser gives
+what the code it replaced gave; a truth or topology document with any value
+in any key loads or says why it cannot.
 
 Streams run over a few pids and endpoints so that receives, sends, forks,
 exits and pid reuse collide often, and timestamps repeat. Examples are
@@ -11,17 +12,23 @@ derandomized so that the suite is deterministic.
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reqflow import engine as engine_module
 from reqflow.dag import build_all_dags, build_trace, export_json, validate_dag
 from reqflow.engine import ReplayEngine
-from reqflow.ingest import MalformedLineError, _parse_kv, parse_bpftrace_line
-from reqflow.records import Endpoint, TraceRecord, dump_json
+from reqflow.ingest import (
+    BACKENDS,
+    MalformedLineError,
+    ParseStats,
+    _parse_kv,
+    parse_bpftrace_line,
+    read_stream,
+)
+from reqflow.records import Endpoint, TraceRecord
 from reqflow.synth import demo_topology, load_topology, simulate
 from reqflow.truth import GroundTruth, compare
 
@@ -97,7 +104,7 @@ def test_any_stream_replays_into_valid_dags_without_orphans(steps):
         dag = build_trace(trace_id, states)
         validate_dag(dag)
         assert not dag.orphans
-    assert sorted(handed) == engine.minted_traces
+    assert sorted(handed) == list(range(1, engine.minted_traces + 1))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -120,34 +127,62 @@ def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps)
             assert not streamed.keys() & engine.states_by_trace.keys()
             for thread in engine.threads.values():
                 assert not streamed.keys() & thread.active_by_trace().keys()
-    assert sorted(streamed) == batch.minted_traces == engine.minted_traces
+    assert batch.minted_traces == engine.minted_traces
+    assert sorted(streamed) == list(range(1, engine.minted_traces + 1))
     assert [streamed[trace_id] for trace_id in sorted(streamed)] == expected
 
 
-# Strings that json escapes: quotes, backslashes, control and non-ASCII
-# characters, surrogates and astral ones, besides arbitrary text.
-TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\ud800\U0001f600'))
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200),
-    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
-    TEXT, st.text(),
+# Digit runs the header fields may hold: a non-ASCII digit the regex's \d
+# takes, and more digits than int() converts.
+DIGITS = st.one_of(
+    st.sampled_from(["0", "7", "000123", "123456789", "\u0663", "9" * 4301]),
+    st.text("0123456789", min_size=1, max_size=10),
 )
-JSON_DOCS = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(TEXT | st.text(), inner, max_size=4),
-        st.dictionaries(TEXT, st.integers(), max_size=4).map(Counter),
+WORD = st.one_of(
+    st.sampled_from(["", "x", "web-1", "a b", ":", "=", "(", "\t", "\n", "##"]),
+    st.text(max_size=5),
+)
+TOKEN = st.one_of(
+    st.sampled_from(["k=v", "k=w", "=v", "bare", "==>", "(tcp_sendmsg+0x0/0x50)",
+                     "(f+0x1/0x2", "child_pid=9"]),
+    WORD,
+)
+FTRACE_SHAPED = st.builds(
+    lambda comm, pid, cpu, flags, secs, frac, event, args:
+        f"{comm}-{pid} [{cpu}]{flags} {secs}.{frac}: {event}: {' '.join(args)}",
+    WORD, DIGITS, DIGITS, st.sampled_from(["", " ....", " d..1."]), DIGITS, DIGITS,
+    st.sampled_from(["sys_enter_read", "tcp_send_sock_sendmsg"]) | WORD,
+    st.lists(TOKEN, max_size=4),
+)
+BPFTRACE_SHAPED = st.builds(
+    lambda header, comm, event, args: "\t".join([*header, comm, event, *args]),
+    st.lists(DIGITS | WORD, min_size=3, max_size=3), WORD,
+    st.sampled_from(["sys_enter_read", "sched_process_fork"]) | WORD, st.lists(TOKEN, max_size=4),
+)
+TEXT_LINES = st.lists(
+    st.one_of(FTRACE_SHAPED, BPFTRACE_SHAPED, st.text(max_size=40)).flatmap(
+        lambda line: st.sampled_from([line, line + "\n", line + "\r\n"])
     ),
-    max_leaves=25,
+    max_size=6,
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(JSON_DOCS)
-def test_dump_json_writes_what_json_dumps_writes(doc):
-    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@example(["web-1 [000] .... " + "9" * 5000 + ".000000: sys_enter_read:"], "ftrace")
+@example(["9" * 5000 + "\t0\t1\tweb\tsys_enter_read"], "bpftrace")
+@given(TEXT_LINES, st.sampled_from(BACKENDS))
+def test_any_text_lines_read_into_records_or_malformed_counts(lines, backend):
+    stats = ParseStats()
+    records = list(read_stream(lines, backend, stats=stats))
+    assert len(records) == stats.parsed
+    assert stats.parsed + stats.skipped + stats.malformed == len(lines)
+    try:
+        strict = list(read_stream(lines, backend, strict=True))
+    except MalformedLineError:
+        assert stats.malformed
+    else:
+        assert stats.malformed == 0
+        assert strict == records
 
 
 def _reference_parse_bpftrace_line(line, line_number=None):
@@ -220,6 +255,14 @@ def test_bpftrace_parser_agrees_with_the_reference(line):
     )
 
 
+# Strings that json escapes: quotes, backslashes, control and non-ASCII
+# characters, surrogates and astral ones, besides arbitrary text.
+TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\ud800\U0001f600'))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    TEXT, st.text(),
+)
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),

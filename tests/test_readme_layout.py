@@ -52,10 +52,10 @@ def test_every_name_in_the_layout_resolves_in_its_module():
     assert missing == []
 
 
-def test_records_bullet_names_the_json_reader_and_writer():
+def test_records_bullet_names_the_json_reader():
     text = _layout_bullets()["records"]
     names = {"".join(name.split()) for name in re.findall(r"`([^`]+)`", text)}
-    assert {"read_json(path)", "dump_json(doc)"} <= names
+    assert "read_json(path)" in names
 
 
 def _synopsis_flags() -> dict[str, set[str]]:

@@ -158,17 +158,21 @@ def test_truth_tallies_add_up_to_emitted_totals():
             for record in stream:
                 if record.event not in STRUCTURAL_EVENTS:
                     emitted[record.event] += 1
-        assert dict(from_spans) == truth.event_totals
-        assert dict(emitted) == truth.event_totals
+        assert emitted == from_spans
 
 
 def test_truth_records_fork_edges_and_arrivals():
     streams, truth = simulate(demo_topology(), 3, 2, seed=1)
-    assert truth.external_arrivals == 3
+    assert [trace.trace_id for trace in truth.traces] == [1, 2, 3]
+    assert [trace.spans[0].source_thread for trace in truth.traces] == [0] * 3
+    fork_edges = [
+        (span.source_thread, span.owner_pid)
+        for trace in truth.traces for span in trace.spans if span.kind == "fork"
+    ]
     # one pinned child pid, later requests fall back to the allocator
-    assert truth.fork_edges[0] == (2066822, 2066823)
-    assert [parent for parent, _ in truth.fork_edges] == [2066822] * 3
-    children = [child for _, child in truth.fork_edges]
+    assert fork_edges[0] == (2066822, 2066823)
+    assert [parent for parent, _ in fork_edges] == [2066822] * 3
+    children = [child for _, child in fork_edges]
     assert len(set(children)) == 3
     fork_records = [
         r for stream in streams for r in stream if r.event == "sched_process_fork"
@@ -193,6 +197,15 @@ def test_ground_truth_doc_round_trip():
     _streams, truth = simulate(random_topology(8), 4, 2, seed=8)
     clone = GroundTruth.from_doc(json.loads(json.dumps(truth.to_doc())))
     assert clone == truth
+
+
+def test_truth_file_with_the_derived_totals_of_earlier_versions_still_loads(demo_run):
+    _streams, truth, _engine, _dags = demo_run
+    doc = truth.to_doc()
+    # written before truth.json dropped what its traces already give
+    doc.update(external_arrivals=1, fork_edges=[[2066822, 2066823]],
+               event_totals={"page_fault_user": 54, "sched_migrate_task": 6})
+    assert GroundTruth.from_doc(json.loads(json.dumps(doc))) == truth
 
 
 def test_demo_truth_doc_matches_golden_bytes(demo_run):
