@@ -42,15 +42,9 @@ from .ingest import (
     read_stream,
 )
 from .records import Endpoint, ascii_decimal, read_json
-from .synth import (
-    demo_topology,
-    inject_faults,
-    load_topology,
-    random_topology,
-    simulate,
-    write_streams,
-)
-from .truth import GroundTruth, compare
+
+# synth and truth are imported by the subcommands that run them, so that
+# reconstruct and render do not load them.
 
 
 def _endpoint(text: str) -> Endpoint:
@@ -146,6 +140,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 # synth
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import (
+        demo_topology,
+        inject_faults,
+        load_topology,
+        random_topology,
+        simulate,
+        write_streams,
+    )
+
     for probability in (args.drop_user, args.drop_structural):
         if probability is not None and not 0.0 <= probability <= 1.0:
             return _fail("probability must be within [0, 1]", 2)
@@ -208,6 +211,8 @@ def _load_dag(path: Path) -> RequestDag:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .truth import GroundTruth, compare
+
     try:
         truth = GroundTruth.from_doc(read_json(args.truth))
     except _BAD_DOC as exc:

@@ -21,9 +21,7 @@ against its child's kind.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import statistics
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -31,6 +29,12 @@ from graphlib import CycleError, TopologicalSorter
 
 from .engine import EXTERNAL_THREAD, ReplayEngine, State
 from .records import check_types
+
+try:
+    # hashlib loads OpenSSL, several MiB; the builtin module gives the same digests
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 SCHEMA_VERSION = "1"
 
@@ -154,7 +158,7 @@ def _make_node(state: State) -> dict:
     conn = None if state.conn is None else (*state.conn.src, *state.conn.dst)
     identity = node_identity(state.trace_id, state.source_thread, conn)
     key = node_key(state.kind, state.owner_pid, identity, state.start_ns)
-    digest = hashlib.sha1(key.encode()).hexdigest()[:12]
+    digest = sha1(key.encode()).hexdigest()[:12]
     return {
         "state_id": f"{state.kind}:{state.owner_pid}:{digest}",
         "kind": state.kind,
@@ -386,10 +390,11 @@ def render_summary(rows: list[dict]) -> str:
         for line in table
     ]
     spans = sorted(row["span_ns"] for row in rows)
+    middle = len(spans) // 2
+    median = spans[middle] if len(spans) % 2 else (spans[middle - 1] + spans[middle]) / 2
     lines.append("")
     lines.append(
-        f"traces={len(rows)} span_ns min={spans[0]}"
-        f" median={statistics.median(spans)} max={spans[-1]}"
+        f"traces={len(rows)} span_ns min={spans[0]} median={median} max={spans[-1]}"
     )
     if totals:
         lines.append("event totals: " + " ".join(f"{k}={totals[k]}" for k in events))

@@ -19,6 +19,11 @@ bpftrace output following this tool's capture convention, tab separated::
 Blank lines and "Attaching N probes..." banners are skipped. Anything else
 that does not parse raises MalformedLineError carrying the line number; the
 stream reader either aborts (strict) or counts the line and continues.
+
+Both parsers read the ``key=value`` tail only for records.ARG_EVENTS, the
+events whose arguments the engine or filter_records reads. Any other record
+carries empty args, and its tail, whatever it holds, never makes the line
+malformed.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .records import FORK_EVENT, TraceRecord, ascii_decimal
+from .records import ARG_EVENTS, FORK_EVENT, TraceRecord, ascii_decimal
 
 BACKENDS = ("ftrace", "bpftrace")
 
@@ -74,8 +79,7 @@ def _parse_kv(tokens: Iterable[str], line_number: int | None, line: str) -> dict
             last = key
         elif last is not None:
             # A token without a key continues the previous value: values may
-            # contain spaces in the ftrace format, and sched_switch prints a
-            # bare "==>" after prev_state.
+            # contain spaces in the ftrace format, as a comm may.
             args[last] += " " + token
         elif eq:
             raise MalformedLineError("empty arg key", line_number, line)
@@ -85,7 +89,48 @@ def _parse_kv(tokens: Iterable[str], line_number: int | None, line: str) -> dict
 
 
 def parse_ftrace_line(line: str, line_number: int | None = None) -> TraceRecord | None:
-    """Parse one ftrace report line; return None for comments and blanks."""
+    """Parse one ftrace report line; return None for comments and blanks.
+
+    The header is split on its fixed columns. A line the split cannot vouch
+    for goes to _FTRACE_RE, whose verdict stands. Its greedy comm takes the
+    last header-shaped run, so the split takes the last '['. It takes any
+    whitespace between columns and no newline, so the split gives up on
+    padding, whitespace other than one space, a newline, a missing flags
+    column, non-ASCII text, a field too long for int() and a kprobe address
+    token.
+    """
+    text = line.rstrip("\n")
+    bracket = text.rfind("[")
+    comm, _, pid = text[:bracket - 1].rpartition("-")
+    cpu, _, rest = text[bracket + 1:].partition("] ")
+    flags, _, rest = rest.partition(" ")
+    secs, _, rest = rest.partition(".")
+    frac, _, rest = rest.partition(": ")
+    event, colon, tail = rest.partition(":")
+    if not (
+        bracket > 0 and text[bracket - 1] == " " and text.isascii() and "\n" not in text
+        and comm and comm[0] != "#" and not comm[0].isspace() and pid.isdigit()
+        and cpu.isdigit() and flags and flags.isprintable() and secs.isdigit()
+        and frac.isdigit() and len(frac) in (6, 9)
+        and colon and event and event.isprintable() and " " not in event
+    ):
+        return _parse_ftrace_regex(line, line_number)
+    try:
+        stamp = int(secs + frac)
+        timestamp_ns = stamp if len(frac) == 9 else stamp * 1000
+        record = TraceRecord(timestamp_ns, int(cpu), int(pid), comm, event)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return _parse_ftrace_regex(line, line_number)
+    if event in ARG_EVENTS:
+        tokens = tail.split()
+        if tokens and tokens[0][0] == "(":  # perhaps a kprobe's address
+            return _parse_ftrace_regex(line, line_number)
+        record.args = _parse_kv(tokens, line_number, line)
+    return record
+
+
+def _parse_ftrace_regex(line: str, line_number: int | None) -> TraceRecord | None:
+    """parse_ftrace_line by _FTRACE_RE, for every line its split gives up on."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
@@ -99,8 +144,9 @@ def parse_ftrace_line(line: str, line_number: int | None = None) -> TraceRecord 
         cpu, pid = int(match["cpu"]), int(match["pid"])
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise MalformedLineError("integer field too long", line_number, line) from None
-    args = _parse_kv(match["args"].split(), line_number, line)
-    return TraceRecord(timestamp_ns, cpu, pid, match["comm"], match["event"], args)
+    event = match["event"]
+    args = _parse_kv(match["args"].split(), line_number, line) if event in ARG_EVENTS else {}
+    return TraceRecord(timestamp_ns, cpu, pid, match["comm"], event, args)
 
 
 def parse_bpftrace_line(line: str, line_number: int | None = None) -> TraceRecord | None:
@@ -122,8 +168,7 @@ def parse_bpftrace_line(line: str, line_number: int | None = None) -> TraceRecor
         raise MalformedLineError("non-integer header field", line_number, line) from None
     if not event:
         raise MalformedLineError("empty event name", line_number, line)
-    # Syscall boundaries, most of a capture, carry no arguments.
-    args = _parse_kv(parts[5:], line_number, line) if len(parts) > 5 else {}
+    args = _parse_kv(parts[5:], line_number, line) if event in ARG_EVENTS else {}
     return TraceRecord(timestamp_ns, cpu, pid, parts[3], event, args)
 
 

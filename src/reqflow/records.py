@@ -106,6 +106,10 @@ TCP_RCV_EVENT = "tcp_rcv_space_adjust"
 FORK_EVENT = "sched_process_fork"
 EXIT_EVENT = "sched_process_exit"
 
+# The only events whose arguments the engine or filter_records reads. The
+# parsers read the arguments of these alone; any other record's are empty.
+ARG_EVENTS = frozenset(TCP_SEND_PROBES | {TCP_RCV_EVENT, FORK_EVENT})
+
 
 def _syscall_events() -> frozenset[str]:
     names = []

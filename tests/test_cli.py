@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from reqflow import cli as cli_module
 from reqflow import engine as engine_module
+from reqflow import synth as synth_module
 from reqflow.cli import main
 from reqflow.dag import build_all_dags, export_json, render_gantt, render_summary, summarize
 from reqflow.engine import ReplayEngine
@@ -727,7 +727,7 @@ def test_inconsistent_topology_is_a_usage_error(tmp_path, capsys, damage):
 def test_bad_fault_probability_fails_before_simulating(tmp_path, capsys, monkeypatch):
     def simulate(*args, **kwargs):
         raise AssertionError("simulated before the fault modes were checked")
-    monkeypatch.setattr(cli_module, "simulate", simulate)
+    monkeypatch.setattr(synth_module, "simulate", simulate)
     out = tmp_path / "capture"
     assert main(["synth", "--demo", "--drop-user", "1.5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "reqflow: probability must be within [0, 1]\n"
@@ -752,3 +752,12 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "reconstruct" in result.stdout
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_synth_nor_truth():
+    # reconstruct and render need none of these; synth and diff import theirs
+    heavy = ("_hashlib", "statistics", "reqflow.synth", "reqflow.truth")
+    code = f"import sys, reqflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -330,6 +330,19 @@ def test_summary_math_matches_hand_computation():
     ]
 
 
+def test_summary_median_of_an_even_count_is_the_mean_of_the_middle_two():
+    dags = [
+        RequestDag(trace_id=t, root_id=f"n:{t}:x", edges=[],
+                   nodes=[_node(f"n:{t}:x", 1, "gw", 0, span, t, {})])
+        for t, span in enumerate((100, 180, 30, 45), 1)
+    ]
+    rows = summarize(dags)
+    assert statistics.median(row["span_ns"] for row in rows) == 72.5
+    assert "traces=4 span_ns min=30 median=72.5 max=180" in render_summary(rows)
+    # a whole mean still prints as the float statistics.median gives
+    assert "traces=2 span_ns min=100 median=140.0 max=180" in render_summary(rows[:2])
+
+
 def test_summary_of_no_dags_reads_traces_0():
     assert summarize([]) == []
     assert render_summary([]) == "traces 0\n"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 import pytest
 
+from reqflow.engine import ReplayEngine
 from reqflow.ingest import (
+    BACKENDS,
     MalformedLineError,
     ParseStats,
     UnsortedStreamError,
@@ -14,8 +17,14 @@ from reqflow.ingest import (
     parse_ftrace_line,
     read_stream,
 )
-from reqflow.records import TraceRecord
-from reqflow.synth import emit_bpftrace_line, emit_ftrace_line
+from reqflow.records import ARG_EVENTS, STRUCTURAL_EVENTS, Endpoint, TraceRecord
+from reqflow.synth import (
+    emit_bpftrace_line,
+    emit_ftrace_line,
+    random_topology,
+    simulate,
+    write_streams,
+)
 
 
 def _random_record(rng: random.Random, ts: int) -> TraceRecord:
@@ -27,13 +36,20 @@ def _random_record(rng: random.Random, ts: int) -> TraceRecord:
         cpu=rng.randrange(4),
         pid=rng.randint(1, 99999),
         comm=rng.choice(["nginx", "redis-server", "svc-2", "a b"]),
-        event=rng.choice(["tcp_rcv_space_adjust", "sys_enter_read", "page_fault_user"]),
+        event=rng.choice(
+            ["tcp_rcv_space_adjust", "sched_process_fork", "sys_enter_read", "page_fault_user"]
+        ),
         args=args,
     )
 
 
 # ----------------------------------------------------------------------
 # line grammar, checked against the emitters as the inverse oracle
+
+def _read_args(record: TraceRecord) -> dict[str, str]:
+    """The args a parser gives back for a record: only ARG_EVENTS' are read."""
+    return record.args if record.event in ARG_EVENTS else {}
+
 
 def test_ftrace_round_trip_random_records():
     rng = random.Random(101)
@@ -51,7 +67,7 @@ def test_ftrace_round_trip_random_records():
             and parsed.pid == record.pid
             and parsed.comm == record.comm
             and parsed.event == record.event
-            and parsed.args == record.args
+            and parsed.args == _read_args(record)
         )
 
 
@@ -67,17 +83,22 @@ def test_bpftrace_round_trip_random_records():
         assert parsed.pid == record.pid
         assert parsed.comm == record.comm
         assert parsed.event == record.event
-        assert parsed.args == record.args
+        assert parsed.args == _read_args(record)
 
 
 def test_ftrace_comm_with_dashes_resolves_last_dash_number():
-    line = "web-server-7-1234 [002] .... 12.000000456: sched_process_exit: comm=web pid=1234"
+    line = (
+        "web-server-7-1234 [002] .... 12.000000456: sched_process_fork:"
+        " comm=web pid=1234 child_comm=web child_pid=1235"
+    )
     record = parse_ftrace_line(line)
     assert record.comm == "web-server-7"
     assert record.pid == 1234
     assert record.cpu == 2
     assert record.timestamp_ns == 12_000_000_456
-    assert record.args == {"comm": "web", "pid": "1234"}
+    assert record.args == {
+        "comm": "web", "pid": "1234", "child_comm": "web", "child_pid": "1235",
+    }
 
 
 def test_ftrace_six_digit_fraction_scales_to_nanoseconds():
@@ -107,12 +128,17 @@ def test_ftrace_bare_token_continues_previous_value():
 
 
 def test_ftrace_sched_switch_arrow_continues_prev_state():
-    record = parse_ftrace_line(
+    # sched_switch's arguments are not read, so the arrow rule is checked on
+    # the same tail under an event whose arguments are.
+    line = (
         "  redis-server-1966384 [003] d..2. 5000012.345678901: sched_switch:"
         " prev_comm=redis-server prev_pid=1966384 prev_prio=120 prev_state=S"
         " ==> next_comm=swapper/3 next_pid=0 next_prio=120"
     )
-    assert record.event == "sched_switch"
+    switch = parse_ftrace_line(line)
+    assert (switch.event, switch.pid, switch.args) == ("sched_switch", 1966384, {})
+    record = parse_ftrace_line(line.replace("sched_switch:", "sched_process_fork:"))
+    assert record.event == "sched_process_fork"
     assert record.pid == 1966384
     assert record.args == {
         "prev_comm": "redis-server", "prev_pid": "1966384", "prev_prio": "120",
@@ -141,10 +167,18 @@ def test_ftrace_kprobe_address_token_is_skipped():
     [
         "garbage",
         "x-1 [000] .... 3.00001: sys_enter_read:",  # bad fraction width
-        "x-1 [000] .... 3.000000123: sys_enter_read: a=1 a=2",  # duplicate key
-        "x-1 [000] .... 3.000000123: sys_enter_read: bare",  # token without key
-        "x-1 [000] .... 3.000000123: sys_enter_read: =v",  # empty key
-        "x-1 [000] .... 3.000000123: probe: (tcp_sendmsg+0x0/0x50",  # unclosed address
+        # A tail is read, and can be malformed, only on an event of ARG_EVENTS.
+        pytest.param(
+            "x-1 [000] .... 3.000000123: tcp_rcv_space_adjust: a=1 a=2", id="duplicate_key"
+        ),
+        pytest.param(
+            "x-1 [000] .... 3.000000123: tcp_rcv_space_adjust: bare", id="token_without_key"
+        ),
+        pytest.param("x-1 [000] .... 3.000000123: tcp_rcv_space_adjust: =v", id="empty_key"),
+        pytest.param(
+            "x-1 [000] .... 3.000000123: tcp_send_sock_sendmsg: (tcp_sendmsg+0x0/0x50",
+            id="unclosed_address",
+        ),
         # more digits than int() converts
         pytest.param("x-1 [000] .... " + "9" * 5000 + ".000000: sys_enter_read:", id="secs"),
         pytest.param("x-" + "9" * 5000 + " [000] 3.000000: sys_enter_read:", id="pid"),
@@ -167,12 +201,82 @@ def test_bpftrace_banner_and_blank_skip():
         "1\t2\t3\tcomm",  # too few fields
         "x\t2\t3\tcomm\tevent",  # non-integer timestamp
         "1\t2\t3\tcomm\t",  # empty event
-        "1\t2\t3\tcomm\tevent\tnokey",
+        "1\t2\t3\tcomm\tsched_process_fork\tnokey",
     ],
 )
 def test_bpftrace_malformed_lines_raise(line):
     with pytest.raises(MalformedLineError):
         parse_bpftrace_line(line)
+
+
+# Tails that make a line malformed on an event of ARG_EVENTS.
+BAD_TAILS = ["a=1 a=2", "bare", "=v", "(tcp_sendmsg+0x0/0x50", "==> x=1"]
+
+
+@pytest.mark.parametrize("event", ["sys_enter_read", "page_fault_user"])
+@pytest.mark.parametrize("tail", BAD_TAILS)
+def test_a_tail_outside_arg_events_is_not_read(event, tail):
+    lines = {
+        "ftrace": f"x-1 [000] .... 3.000000123: {event}: {tail}",
+        "bpftrace": "\t".join(["3000000123", "0", "1", "x", event, *tail.split()]),
+    }
+    for backend, line in lines.items():
+        stats = ParseStats()
+        (record,) = read_stream([line], backend, strict=True, stats=stats)
+        assert (record.timestamp_ns, record.pid, record.event) == (3_000_000_123, 1, event)
+        assert record.args == {}
+        assert (stats.parsed, stats.malformed) == (1, 0)
+        with pytest.raises(MalformedLineError):
+            list(read_stream([line.replace(event, "tcp_rcv_space_adjust")], backend, strict=True))
+
+
+class _WatchedArgs(Mapping):
+    """A record's args that note the record's event when anything reads them."""
+
+    def __init__(self, event: str, args: dict, reads: set):
+        self.event, self.args, self.reads = event, args, reads
+
+    def _read(self) -> dict:
+        self.reads.add(self.event)
+        return self.args
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_replay_and_filter_read_the_args_of_arg_events_alone(tmp_path, backend):
+    reads, parsed_events = set(), set()
+    for seed in range(1, 6):
+        topology = random_topology(seed)
+        streams, _truth = simulate(topology, 3, 2, seed)
+        for stream in streams:
+            for record in stream:
+                if record.event not in STRUCTURAL_EVENTS:
+                    record.args = {"address": "0x7f0012", "error_code": "0x6"}
+        parsed = []
+        for path in write_streams(streams, tmp_path / str(seed), backend):
+            with open(path) as handle:
+                parsed.append(list(read_stream(handle, backend, strict=True)))
+        for stream in parsed:
+            for record in stream:
+                parsed_events.add(record.event)
+                record.args = _WatchedArgs(record.event, record.args, reads)
+        gateway = next(s for s in topology.services if s.name == topology.gateway)
+        engine = ReplayEngine(
+            [Endpoint(gateway.ip, gateway.port)], user_events=sorted(topology.user_event_rates)
+        )
+        pids = {record.pid for stream in parsed for record in stream}
+        for _trace in engine.replay(filter_records(merge_streams(parsed), pids)):
+            pass
+    assert parsed_events - STRUCTURAL_EVENTS, "no user events in the captures"
+    assert reads == parsed_events & ARG_EVENTS
 
 
 def test_malformed_error_carries_position():

@@ -1,8 +1,9 @@
 """Property tests: arbitrary record streams replay and build without a crash,
 and handing complete traces out during replay changes no output; any text
-lines read into records or malformed-line counts; the bpftrace parser gives
-what the code it replaced gave; a truth or topology document with any value
-in any key loads or says why it cannot.
+lines read into records or malformed-line counts; the ftrace and bpftrace
+parsers give what the code they replaced gave, but for the tails of events
+outside ARG_EVENTS, which they leave unread; a truth or topology document
+with any value in any key loads or says why it cannot.
 
 Streams run over a few pids and endpoints so that receives, sends, forks,
 exits and pid reuse collide often, and timestamps repeat. Examples are
@@ -12,6 +13,8 @@ derandomized so that the suite is deterministic.
 from __future__ import annotations
 
 import json
+import re
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +29,10 @@ from reqflow.ingest import (
     ParseStats,
     _parse_kv,
     parse_bpftrace_line,
+    parse_ftrace_line,
     read_stream,
 )
-from reqflow.records import Endpoint, TraceRecord
+from reqflow.records import ARG_EVENTS, Endpoint, TraceRecord
 from reqflow.synth import demo_topology, load_topology, simulate
 from reqflow.truth import GroundTruth, compare
 
@@ -185,8 +189,9 @@ def test_any_text_lines_read_into_records_or_malformed_counts(lines, backend):
         assert strict == records
 
 
-def _reference_parse_bpftrace_line(line, line_number=None):
-    """parse_bpftrace_line as it read before it split first, verbatim."""
+def _reference_parse_bpftrace_line(line, line_number=None, parse_kv=_parse_kv):
+    """parse_bpftrace_line as it read before it split first, verbatim but for
+    parse_kv, which stands in for _parse_kv."""
     stripped = line.rstrip("\n")
     if not stripped.strip():
         return None
@@ -204,7 +209,7 @@ def _reference_parse_bpftrace_line(line, line_number=None):
     event = parts[4]
     if not event:
         raise MalformedLineError("empty event name", line_number, line)
-    args = _parse_kv(parts[5:], line_number, line)
+    args = parse_kv(parts[5:], line_number, line)
     return TraceRecord(
         timestamp_ns=timestamp_ns,
         cpu=cpu,
@@ -229,7 +234,8 @@ LINES = st.one_of(
     st.builds(
         lambda header, comm, event, args, end: "\t".join([*header, comm, event, *args]) + end,
         st.lists(HEADER_FIELD, min_size=3, max_size=3), FIELD,
-        st.sampled_from(["tcp_rcv_space_adjust", ""]) | FIELD, st.lists(ARG, max_size=5),
+        st.sampled_from(["tcp_rcv_space_adjust", "sys_enter_read", ""]) | FIELD,
+        st.lists(ARG, max_size=5),
         ENDING,
     ),
     # blanks and banners
@@ -247,12 +253,126 @@ def _outcome(parse, line):
         return ("malformed", str(exc), exc.line_number)
 
 
+def _unread(tokens, line_number, line) -> dict:
+    return {}
+
+
+def _expected(reference, line):
+    """The reference's verdict on a line, but with the tail of an event
+    outside ARG_EVENTS left unread: empty args, and never malformed."""
+    unread = _outcome(partial(reference, parse_kv=_unread), line)
+    if isinstance(unread, TraceRecord) and unread.event in ARG_EVENTS:
+        return _outcome(reference, line)
+    return unread
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(LINES)
 def test_bpftrace_parser_agrees_with_the_reference(line):
-    assert _outcome(parse_bpftrace_line, line) == _outcome(
-        _reference_parse_bpftrace_line, line
-    )
+    assert _outcome(parse_bpftrace_line, line) == _expected(_reference_parse_bpftrace_line, line)
+
+
+_REFERENCE_FTRACE_RE = re.compile(
+    r"^\s*(?P<comm>.+)-(?P<pid>\d+)\s+\[(?P<cpu>\d+)\]"
+    r"(?:\s+(?P<flags>\S+))?\s+(?P<secs>\d+)\.(?P<frac>\d{6}|\d{9}):\s+"
+    r"(?P<event>[^\s:]+):\s*(?:\([^\s()]+\+0x[0-9a-f]+/0x[0-9a-f]+\)\s*)?"
+    r"(?P<args>.*)$"
+)
+
+
+def _reference_parse_ftrace_line(line, line_number=None, parse_kv=_parse_kv):
+    """parse_ftrace_line as it read before it split the header first, with
+    its regex, verbatim but for parse_kv, which stands in for _parse_kv."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    match = _REFERENCE_FTRACE_RE.match(line.rstrip("\n"))
+    if match is None:
+        raise MalformedLineError("unrecognized ftrace line", line_number, line)
+    frac = match["frac"]
+    scale = 1000 if len(frac) == 6 else 1
+    try:
+        timestamp_ns = int(match["secs"]) * 1_000_000_000 + int(frac) * scale
+        cpu, pid = int(match["cpu"]), int(match["pid"])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise MalformedLineError("integer field too long", line_number, line) from None
+    args = parse_kv(match["args"].split(), line_number, line)
+    return TraceRecord(timestamp_ns, cpu, pid, match["comm"], match["event"], args)
+
+
+# Each column of an ftrace line as the kernel prints it, comms holding
+# dashes, spaces, ': ' and brackets among them, and then, for up to two
+# columns, a shape the regex reads another way or not at all: padding, no
+# flags, a fraction of neither width, digits that int() and the regex read
+# apart, a newline, another header in the tail, a CRLF ending.
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+# Fields that int() and the regex may read differently
+_ODD_DIGITS = st.sampled_from(["\u0663", "\u00b2", "9" * 5000, "", "1 ", " 1", "-1", "+5", "1_0"])
+_GAPS = st.sampled_from(["  ", "\t", "", " \r"])
+_TOKENS = st.sampled_from(
+    ["saddr=10.0.0.1", "sport=80", "child_pid=9", "child_comm=a b", "k=v", "k=v", "=v", "bare",
+     "==>", "(tcp_sendmsg+0x0/0x50)", "(f+0x1/0x2", "[", ": ", "x-2 [001] .... 4.000000: e:",
+     "x-2 [001] 4.000000123: e: k=v"]
+) | st.text(max_size=4)
+_COLUMNS = {  # name: (as the kernel prints it, other shapes)
+    "lead": (st.just(""), st.sampled_from([" ", "  ", "\t", "#"])),
+    "comm": (
+        st.sampled_from(
+            ["web", "redis-server", "web-7", "a b", "a: b", "a [1] b", "x-1 [0] 3.0: e:"]
+        ),
+        st.sampled_from(["", "-", "#x", " x", "x\n"]) | st.text(max_size=5),
+    ),
+    "pid": (_DIGITS, _ODD_DIGITS),
+    "gap1": (st.just(" "), _GAPS),
+    "cpu": (_DIGITS, _ODD_DIGITS),
+    "flags": (
+        st.sampled_from([" ....", " d..1.", " dNh2."]),
+        st.sampled_from(["", "  ....", " a:", " x[", " ]", " 3.000000:", " .\t."]),
+    ),
+    "gap2": (st.just(" "), _GAPS),
+    "secs": (_DIGITS, _ODD_DIGITS),
+    "frac": (
+        st.sampled_from([6, 9]).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n)),
+        st.sampled_from(
+            ["00012", "0000001", "0000001234", "\u0663" * 6, "000000 ", "+00001", "00_001"]
+        ),
+    ),
+    "gap3": (st.just(" "), _GAPS),
+    "event": (
+        st.sampled_from([*sorted(ARG_EVENTS), "sys_enter_read", "page_fault_user", "sched_switch"]),
+        st.sampled_from(["", "4.000000", "a b", "x:y", "e\t", "(f+0x1/0x2)"]),
+    ),
+    "gap4": (st.sampled_from([" ", ""]), _GAPS),
+    "tail": (st.lists(_TOKENS, max_size=4).map(" ".join), st.text(max_size=8)),
+    "end": (st.sampled_from(["\n", ""]), st.sampled_from(["\r\n", "\n\n", "\r"])),
+}
+
+
+@st.composite
+def _ftrace_lines(draw) -> str:
+    column = {name: draw(usual) for name, (usual, _odd) in _COLUMNS.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(_COLUMNS)), max_size=2)):
+        column[name] = draw(_COLUMNS[name][1])
+    return (
+        "{lead}{comm}-{pid}{gap1}[{cpu}]{flags}{gap2}{secs}.{frac}:"
+        "{gap3}{event}:{gap4}{tail}{end}"
+    ).format(**column)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@example("nginx-2066823 [001] d..1. 5000012.345678901: tcp_send_sock_sendmsg:"
+         " saddr=10.1.0.2 sport=41000 daddr=10.1.0.7 dport=6379\n")
+@example("x-1 [000] 3.000000: 4.000000: sched_process_fork: child_pid=9")  # no flags
+@example("x-1 [000] .... 3.000000: sched_process_fork: child_pid=9 x-2 [001] .... 4.000000: e:")
+@example("x-" + "9" * 5000 + " [000] .... 3.000000: sys_enter_read:")
+@example("x-1 [000] .... 3.000000123: tcp_send_sock_sendmsg: (tcp_sendmsg+0x0/0x50)sport=1")
+@example("x-1 [000] .... 3.000000123: tcp_rcv_space_adjust: sport=1\r\n")
+@example("x-+5 [000] .... 3.000000: sys_enter_read:")  # int() takes '+5'
+@example("x\n-1 [000] .... 3.000000: sys_enter_read:")  # the regex's '.' takes no newline
+@example("x-1 [000] .... 3.000000: sys_enter_read: a\nb")
+@given(_ftrace_lines() | FTRACE_SHAPED)
+def test_ftrace_parser_agrees_with_the_reference(line):
+    assert _outcome(parse_ftrace_line, line) == _expected(_reference_parse_ftrace_line, line)
 
 
 # Strings that json escapes: quotes, backslashes, control and non-ASCII

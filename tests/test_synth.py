@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from reqflow.ingest import parse_bpftrace_line, parse_ftrace_line
-from reqflow.records import STRUCTURAL_EVENTS
+from reqflow.records import ARG_EVENTS, STRUCTURAL_EVENTS
 from reqflow.synth import (
     InvalidTopologyError,
     ServiceSpec,
@@ -270,7 +270,8 @@ def test_demo_streams_round_trip_through_both_parsers(demo_run):
                 assert parsed.pid == record.pid
                 assert parsed.comm == record.comm
                 assert parsed.event == record.event
-                assert parsed.args == record.args
+                # sched_process_exit's comm and pid are printed but not read
+                assert parsed.args == (record.args if record.event in ARG_EVENTS else {})
 
 
 def test_write_streams_one_file_per_cpu(tmp_path):
