@@ -241,6 +241,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             dags.append(_load_dag(path))
         except _BAD_DOC as exc:
             return _fail(f"bad dag document {path}: {exc}", 1)
+    # trace_10.json sorts before trace_2.json by name; summary.txt is in id order
+    dags.sort(key=lambda dag: dag.trace_id)
     if args.summary:
         sys.stdout.write(render_summary(summarize(dags)))
         return 0

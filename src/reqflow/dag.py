@@ -1,14 +1,14 @@
 """Per-request DAG assembly, canonical JSON export, and text rendering.
 
-Every minted trace id becomes one RequestDag. The root is the trace's
-arrival state (the network state whose source_thread is the external
-sentinel). Edges are the causes the engine recorded: each state's parents
-are the states of its trace that were active on the sending thread or the
-forking parent when the state was created, and each becomes one edge,
-whose cause CAUSE_OF reads from the child's kind. The builder only groups
-states into nodes and walks from the root to find which are reachable.
-States of the trace that are not reachable are exported under
-diagnostics.orphans, never attached heuristically and never dropped.
+Every minted trace id becomes one RequestDag, copied from what the engine
+recorded. Each state of the trace is a node. Each state's parents are the
+states of its trace that were active on the sending thread or the forking
+parent when the state was created, and each becomes one edge, whose cause
+CAUSE_OF reads from the child's kind. The root is the one state without a
+parent, the minted arrival. Parents exist before their children, so every
+chain of parents ends at the root: nothing is unreachable, and
+diagnostics.orphans is always empty. A trace with no such root, or with a
+parent outside it, raises DagValidationError.
 
 build_trace builds one trace from its states alone, so each trace
 ReplayEngine.replay() yields can be built, written and freed at once.
@@ -173,10 +173,13 @@ def _make_node(state: State) -> dict:
 
 
 def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
-    """Assemble the DAG of one trace from all of its ended states."""
+    """The DAG of one trace as the engine recorded it: each of its ended
+    states is a node, each of a state's parents an edge into it, and the one
+    state without a parent, which must be an arrival, the root."""
     entries: list[tuple[State, dict]] = []
     node_of: dict[int, dict] = {}
     seen_ids: set[str] = set()
+    root = None
     for state in states:
         node = _make_node(state)
         while node["state_id"] in seen_ids:  # pathological duplicate guard
@@ -184,52 +187,31 @@ def build_trace(trace_id: int, states: Iterable[State]) -> RequestDag:
         seen_ids.add(node["state_id"])
         entries.append((state, node))
         node_of[id(state)] = node
-
-    roots = [
-        (state, node)
-        for state, node in entries
-        if state.kind == "network" and state.source_thread == EXTERNAL_THREAD
-    ]
-    if not roots:
+        if not state.parents:
+            if root is not None:
+                raise DagValidationError(f"trace {trace_id} has two states without a parent")
+            root = state
+    if root is None or root.kind != "network" or root.source_thread != EXTERNAL_THREAD:
         raise DagValidationError(f"trace {trace_id} has no arrival state")
-    roots.sort(key=lambda e: (e[0].start_ns, e[1]["state_id"]))
-    root_state, root_node = roots[0]
-
-    children: dict[int, list[State]] = {}
-    for state, _node in entries:
-        for parent in state.parents:
-            children.setdefault(id(parent), []).append(state)
 
     edges: list[dict] = []
-    reachable: set[int] = {id(root_state)}
-    stack = [root_state]
-    while stack:
-        parent = stack.pop()
-        parent_id = node_of[id(parent)]["state_id"]
-        for child in children.get(id(parent), ()):
-            child_id = node_of[id(child)]["state_id"]
-            edges.append({"parent": parent_id, "child": child_id, "cause": CAUSE_OF[child.kind]})
-            if id(child) not in reachable:
-                reachable.add(id(child))
-                stack.append(child)
-
-    nodes = [node for state, node in entries if id(state) in reachable]
-    orphans = [node for state, node in entries if id(state) not in reachable]
-    nodes.sort(key=lambda n: (n["start_ns"], n["state_id"]))
-    orphans.sort(key=lambda n: (n["start_ns"], n["state_id"]))
+    for state, node in entries:
+        for parent in state.parents:
+            if id(parent) not in node_of:
+                raise DagValidationError(f"trace {trace_id} lacks a parent of {node['state_id']}")
+            edges.append({
+                "parent": node_of[id(parent)]["state_id"],
+                "child": node["state_id"],
+                "cause": CAUSE_OF[state.kind],
+            })
+    nodes = sorted(node_of.values(), key=lambda n: (n["start_ns"], n["state_id"]))
     edges.sort(key=lambda e: (e["parent"], e["child"], e["cause"]))
-
-    incoming = Counter(edge["child"] for edge in edges)
     counters = {
-        "orphan_states": len(orphans),
-        "multi_parent_nodes": sum(1 for n in incoming.values() if n > 1),
+        "orphan_states": 0,
+        "multi_parent_nodes": sum(1 for state, _node in entries if len(state.parents) > 1),
     }
     return RequestDag(
-        trace_id=trace_id,
-        root_id=root_node["state_id"],
-        nodes=nodes,
-        edges=edges,
-        orphans=orphans,
+        trace_id=trace_id, root_id=node_of[id(root)]["state_id"], nodes=nodes, edges=edges,
         counters=counters,
     )
 

@@ -68,7 +68,9 @@ from .records import (
     ascii_decimal,
 )
 
-# Sentinel thread id for untraced peers (outside clients). Never a real pid.
+# The source thread of a minted arrival, whose sender is outside the trace.
+# pid 0 is a real pid too, the idle task, so a state is an arrival by having
+# no parent, not by this value alone.
 EXTERNAL_THREAD = 0
 
 FLAG_OPEN_AT_END = "open_at_end"

@@ -194,12 +194,11 @@ def read_stream(
     strict: bool = False,
     stats: ParseStats | None = None,
 ) -> Iterator[TraceRecord]:
-    """Yield records from raw lines, assigning per-stream sequence numbers."""
+    """Yield the records of raw lines, counting the rest in stats."""
     if backend not in _PARSERS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     parse = _PARSERS[backend]
     stats = stats if stats is not None else ParseStats()
-    seq = 0
     for line_number, line in enumerate(lines, 1):
         try:
             record = parse(line, line_number)
@@ -211,13 +210,11 @@ def read_stream(
         if record is None:
             stats.skipped += 1
             continue
-        record.seq = seq
-        seq += 1
         stats.parsed += 1
         yield record
 
 
-_MERGE_KEY = attrgetter("timestamp_ns", "cpu", "seq")
+_MERGE_KEY = attrgetter("timestamp_ns", "cpu")
 
 
 def _checked(stream: Iterable[TraceRecord], index: int) -> Iterator[TraceRecord]:
@@ -230,12 +227,13 @@ def _checked(stream: Iterable[TraceRecord], index: int) -> Iterator[TraceRecord]
 
 
 def merge_streams(streams: Sequence[Iterable[TraceRecord]]) -> Iterator[TraceRecord]:
-    """Merge per-CPU streams into one sequence ordered by (ts, cpu, seq).
+    """Merge per-CPU streams into one sequence ordered by (ts, cpu).
 
     Each input stream must be internally non-decreasing in timestamp;
     a violation raises UnsortedStreamError naming the stream and position.
-    Ties across streams resolve by cpu then seq, so the output equals a
-    stable sort of the concatenated input.
+    heapq.merge yields equal keys in input order: a tie resolves by cpu,
+    then by stream, then by position within the stream, so the output
+    equals a stable sort of the concatenated input.
     """
     checked = [_checked(stream, index) for index, stream in enumerate(streams)]
     return heapq.merge(*checked, key=_MERGE_KEY)

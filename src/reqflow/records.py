@@ -22,9 +22,7 @@ class Endpoint(NamedTuple):
 class TraceRecord:
     """One normalized kernel event.
 
-    timestamp_ns is monotonic integer nanoseconds. seq is the record's
-    position within its source stream and breaks timestamp ties
-    deterministically during merge.
+    timestamp_ns is monotonic integer nanoseconds.
     """
 
     timestamp_ns: int
@@ -33,7 +31,6 @@ class TraceRecord:
     comm: str
     event: str
     args: dict[str, str] = field(default_factory=dict)
-    seq: int = 0
 
 
 def ascii_decimal(text: object) -> int | None:

@@ -420,9 +420,6 @@ class _Simulation:
         streams: list[list[TraceRecord]] = [[] for _ in range(self.cpus)]
         for record in self.records:
             streams[record.cpu].append(record)
-        for stream in streams:
-            for position, record in enumerate(stream):
-                record.seq = position
         return streams, GroundTruth(self.truth_traces)
 
 
@@ -528,7 +525,7 @@ def inject_faults(
     kept_streams = []
     for index, stream in enumerate(streams):
         kept = []
-        for record in stream:
+        for seq, record in enumerate(stream):
             if record.event in STRUCTURAL_EVENTS:
                 reason, probability = "drop_structural", drop_structural
             else:
@@ -542,7 +539,7 @@ def inject_faults(
             manifests[reason].append(
                 {
                     "stream": index,
-                    "seq": record.seq,
+                    "seq": seq,
                     "timestamp_ns": record.timestamp_ns,
                     "cpu": record.cpu,
                     "pid": record.pid,

@@ -442,6 +442,18 @@ def test_render_reads_a_directory_as_diff_does(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_render_summary_of_a_directory_prints_its_summary_file(tmp_path, capsys):
+    # twelve traces: by name trace_10.json sorts before trace_2.json
+    out = tmp_path / "capture"
+    assert main(["synth", "--demo", "--requests", "12", "--out", str(out)]) == 0
+    _reconstruct(tmp_path, sorted(str(p) for p in out.glob("cpu*.log")))
+    capsys.readouterr()
+    dags = tmp_path / "dags"
+    assert len(list(dags.glob("trace_*.json"))) == 12
+    assert main(["render", "--summary", str(dags)]) == 0
+    assert capsys.readouterr().out == (dags / "summary.txt").read_text()
+
+
 def test_render_rejects_narrow_width(tmp_path, capsys):
     logs = _synth(tmp_path)
     _reconstruct(tmp_path, logs)

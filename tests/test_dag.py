@@ -71,21 +71,41 @@ def test_two_hop_chain_builds_expected_edges():
     assert dag.counters == {"orphan_states": 0, "multi_parent_nodes": 0}
 
 
-def test_state_without_recorded_parent_is_orphaned():
+def test_state_without_recorded_parent_fails():
     root = _net(1, EXTERNAL_THREAD, 1, 100, 200)
     late = _net(2, 1, 1, 250, 300, sport=41_000, dport=9_000)  # no parents
-    # its child is unreachable too, and the edge between them is not exported
     late_child = _fork(3, 2, 1, 260, 290, parents=(late,))
     ended = _by_trace(
         [1],
         [_thread(1, "gw", root), _thread(2, "svc", late), _thread(3, "w", late_child)],
     )
+    with pytest.raises(DagValidationError, match="two states without a parent"):
+        build_trace(1, ended[1])
+
+
+def test_parent_outside_the_trace_fails():
+    root = _net(1, EXTERNAL_THREAD, 1, 100, 400)
+    elsewhere = _net(9, EXTERNAL_THREAD, 2, 100, 400, sport=50_009)
+    child = _net(2, 1, 1, 150, 300, sport=41_000, dport=9_000, parents=(root, elsewhere))
+    ended = _by_trace([1], [_thread(1, "gw", root), _thread(2, "svc", child)])
+    with pytest.raises(DagValidationError, match="lacks a parent"):
+        build_trace(1, ended[1])
+
+
+def test_arrival_from_pid_0_is_the_root_and_its_descendants_are_nodes():
+    # pid 0 is the idle task: a span it sends carries source_thread 0 too,
+    # yet has a parent, so only the parentless arrival is the root
+    root = _net(5, EXTERNAL_THREAD, 1, 100, 400)
+    idle = _net(0, 5, 1, 100, 400, sport=41_000, dport=9_000, parents=(root,))
+    leaf = _net(1, 0, 1, 100, 400, sport=42_000, dport=7_000, parents=(idle,))
+    ended = _by_trace(
+        [1], [_thread(5, "gw", root), _thread(0, "swapper", idle), _thread(1, "db", leaf)]
+    )
     dag = build_trace(1, ended[1])
     validate_dag(dag)
-    assert len(dag.nodes) == 1
-    assert [node["owner_pid"] for node in dag.orphans] == [2, 3]
-    assert dag.counters["orphan_states"] == 2
-    assert not dag.edges
+    assert dag.node_by_id()[dag.root_id]["owner_pid"] == 5
+    assert sorted(node["owner_pid"] for node in dag.nodes) == [0, 1, 5]
+    assert len(dag.edges) == 2 and not dag.orphans
 
 
 def test_fork_edge_carries_fork_cause():
@@ -250,14 +270,13 @@ def test_validate_rejects_unreachable_and_cycles():
 
 
 def test_gantt_rows_have_fixed_width_bars():
-    root = _net(1, EXTERNAL_THREAD, 1, 1_000, 2_000)
-    child = _net(2, 1, 1, 1_250, 1_500, sport=41_000, dport=9_000, parents=(root,))
-    late = _net(3, 1, 1, 2_500, 3_000, sport=43_000, dport=9_200)  # orphan
-    ended = _by_trace(
-        [1],
-        [_thread(1, "gw", root), _thread(2, "svc", child), _thread(3, "x", late)],
+    # a document from elsewhere may list orphans; render_gantt draws them
+    dag = RequestDag(
+        trace_id=1, root_id="n:1:aaa",
+        nodes=[_node("n:1:aaa", 1, "gw", 1_000, 2_000), _node("n:2:bbb", 2, "svc", 1_250, 1_500)],
+        edges=[_edge("n:1:aaa", "n:2:bbb")],
+        orphans=[_node("n:3:ccc", 3, "x", 2_500, 3_000)],
     )
-    dag = build_trace(1, ended[1])
     text = render_gantt(dag, width=60)
     lines = text.splitlines()
     assert lines[0].startswith("trace 1  window 1000..3000 ns")

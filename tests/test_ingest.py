@@ -61,7 +61,6 @@ def test_ftrace_round_trip_random_records():
             record.comm = record.comm.replace(" ", "_")
         parsed = parse_ftrace_line(emit_ftrace_line(record))
         assert parsed == record or (
-            # seq is not carried by the wire format
             parsed.timestamp_ns == record.timestamp_ns
             and parsed.cpu == record.cpu
             and parsed.pid == record.pid
@@ -289,7 +288,7 @@ def test_malformed_error_carries_position():
 # ----------------------------------------------------------------------
 # stream reading
 
-def test_read_stream_assigns_sequence_and_counts():
+def test_read_stream_yields_records_in_order_and_counts():
     lines = [
         "# comment",
         "a-1 [000] .... 1.000000001: sys_enter_read:",
@@ -299,7 +298,7 @@ def test_read_stream_assigns_sequence_and_counts():
     ]
     stats = ParseStats()
     records = list(read_stream(lines, backend="ftrace", stats=stats))
-    assert [r.seq for r in records] == [0, 1]
+    assert [r.event for r in records] == ["sys_enter_read", "sys_exit_read"]
     assert stats.parsed == 2
     assert stats.skipped == 2
     assert stats.malformed == 1
@@ -329,16 +328,13 @@ def test_error_list_is_capped():
 
 def _stable_sort_oracle(streams):
     flat = [record for stream in streams for record in stream]
-    return sorted(flat, key=lambda r: (r.timestamp_ns, r.cpu, r.seq))
+    return sorted(flat, key=lambda r: (r.timestamp_ns, r.cpu))
 
 
 def _partition(records, cpus, rng):
     streams = [[] for _ in range(cpus)]
     for record in records:
         streams[record.cpu].append(record)
-    for stream in streams:
-        for seq, record in enumerate(stream):
-            record.seq = seq
     return streams
 
 
@@ -349,7 +345,7 @@ def test_merge_matches_stable_sort_oracle_many_interleavings():
         ts = 0
         records = []
         for _ in range(rng.randint(0, 200)):
-            # coincident timestamps on purpose: ties must break by (cpu, seq)
+            # coincident timestamps on purpose: ties must break by cpu, then position
             ts += rng.choice((0, 0, 1, 5, 1000))
             records.append(_random_record(rng, ts))
             records[-1].cpu = rng.randrange(cpus)
@@ -360,12 +356,12 @@ def test_merge_matches_stable_sort_oracle_many_interleavings():
 
 def test_merge_rejects_time_regression_with_position():
     good = [
-        TraceRecord(timestamp_ns=1, cpu=0, pid=1, comm="a", event="e", seq=0),
-        TraceRecord(timestamp_ns=2, cpu=0, pid=1, comm="a", event="e", seq=1),
+        TraceRecord(timestamp_ns=1, cpu=0, pid=1, comm="a", event="e"),
+        TraceRecord(timestamp_ns=2, cpu=0, pid=1, comm="a", event="e"),
     ]
     bad = [
-        TraceRecord(timestamp_ns=9, cpu=1, pid=1, comm="a", event="e", seq=0),
-        TraceRecord(timestamp_ns=3, cpu=1, pid=1, comm="a", event="e", seq=1),
+        TraceRecord(timestamp_ns=9, cpu=1, pid=1, comm="a", event="e"),
+        TraceRecord(timestamp_ns=3, cpu=1, pid=1, comm="a", event="e"),
     ]
     with pytest.raises(UnsortedStreamError) as info:
         list(merge_streams([iter(good), iter(bad)]))
@@ -375,10 +371,20 @@ def test_merge_rejects_time_regression_with_position():
 
 def test_merge_accepts_equal_timestamps_within_stream():
     stream = [
-        TraceRecord(timestamp_ns=5, cpu=0, pid=1, comm="a", event="e", seq=0),
-        TraceRecord(timestamp_ns=5, cpu=0, pid=1, comm="a", event="e", seq=1),
+        TraceRecord(timestamp_ns=5, cpu=0, pid=1, comm="a", event="e"),
+        TraceRecord(timestamp_ns=5, cpu=0, pid=1, comm="a", event="e"),
     ]
     assert list(merge_streams([iter(stream)])) == stream
+
+
+def test_merge_keeps_stream_order_for_a_shared_cpu_and_timestamp():
+    # two captures of one cpu: a tie goes to the earlier stream, then to
+    # the earlier position within it, as a stable sort leaves it
+    first = [TraceRecord(timestamp_ns=5, cpu=1, pid=p, comm="a", event="e") for p in (3, 1)]
+    second = [TraceRecord(timestamp_ns=5, cpu=1, pid=p, comm="b", event="e") for p in (2, 0)]
+    merged = list(merge_streams([iter(first), iter(second)]))
+    assert [(r.comm, r.pid) for r in merged] == [("a", 3), ("a", 1), ("b", 2), ("b", 0)]
+    assert merged == _stable_sort_oracle([first, second])
 
 
 def test_merge_of_nothing_is_empty():

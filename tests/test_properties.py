@@ -36,7 +36,8 @@ from reqflow.records import ARG_EVENTS, Endpoint, TraceRecord
 from reqflow.synth import demo_topology, load_topology, simulate
 from reqflow.truth import GroundTruth, compare
 
-PIDS = st.integers(min_value=1, max_value=5)
+# pid 0, the idle task, is a real pid as well as the arrival's source thread
+PIDS = st.integers(min_value=0, max_value=5)
 ENDPOINTS = (
     Endpoint("10.0.0.1", 80),  # the gateway
     Endpoint("10.0.0.2", 9000),
@@ -98,7 +99,24 @@ def _engine() -> ReplayEngine:
     return ReplayEngine([ENDPOINTS[0]], user_events=("page_fault_user",))
 
 
+def _step(pid, syscall, probe, local, peer):
+    return (0, pid, [(f"sys_enter_{syscall}", {}), (probe, _tuple(local, peer)),
+                     (f"sys_exit_{syscall}", {})])
+
+
+gateway, service, store, client = ENDPOINTS
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# pid 5 takes an arrival and calls pid 0, which calls pid 1: the span pid 0
+# sends carries source_thread 0 as the arrival does, and is not the root
+@example([
+    _step(5, "read", "tcp_rcv_space_adjust", gateway, client),
+    _step(5, "write", "tcp_send_sock_sendmsg", gateway, service),
+    _step(0, "read", "tcp_rcv_space_adjust", service, gateway),
+    _step(0, "write", "tcp_send_sock_sendmsg", service, store),
+    _step(1, "read", "tcp_rcv_space_adjust", store, service),
+])
 @given(STEPS)
 def test_any_stream_replays_into_valid_dags_without_orphans(steps):
     engine = _engine()
@@ -108,6 +126,8 @@ def test_any_stream_replays_into_valid_dags_without_orphans(steps):
         dag = build_trace(trace_id, states)
         validate_dag(dag)
         assert not dag.orphans
+        root = dag.node_by_id()[dag.root_id]
+        assert all(node["start_ns"] >= root["start_ns"] for node in dag.nodes)
     assert sorted(handed) == list(range(1, engine.minted_traces + 1))
 
 

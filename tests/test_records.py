@@ -40,7 +40,6 @@ def test_structural_event_enumeration():
 def test_trace_record_defaults():
     record = TraceRecord(timestamp_ns=5, cpu=0, pid=42, comm="svc", event="x")
     assert record.args == {}
-    assert record.seq == 0
 
 
 def test_endpoint_is_ordered_and_prints():

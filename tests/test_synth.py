@@ -135,11 +135,10 @@ def test_simulation_is_deterministic_per_seed():
     assert as_lines(first) != as_lines(third)
 
 
-def test_simulation_clock_is_strictly_increasing_and_seq_contiguous():
+def test_simulation_clock_is_strictly_increasing_and_one_cpu_per_stream():
     streams, _ = simulate(random_topology(6), 20, 4, seed=3)
     all_ts = []
     for stream in streams:
-        assert [r.seq for r in stream] == list(range(len(stream)))
         for record in stream:
             assert record.cpu == streams.index(stream)
         all_ts.extend(r.timestamp_ns for r in stream)
@@ -329,9 +328,9 @@ def test_combined_faults_list_user_drops_then_truncation():
     streams, _ = simulate(random_topology(5), 10, 2, seed=5)
     cut = sorted(r.timestamp_ns for s in streams for r in s)[len(streams[0])]
     faulted, manifest = inject_faults(streams, 3, drop_user=1.0, truncate=cut)
-    user = [(i, r.seq) for i, s in enumerate(streams) for r in s
+    user = [(i, seq) for i, s in enumerate(streams) for seq, r in enumerate(s)
             if r.event not in STRUCTURAL_EVENTS]
-    late = [(i, r.seq) for i, s in enumerate(streams) for r in s
+    late = [(i, seq) for i, s in enumerate(streams) for seq, r in enumerate(s)
             if r.event in STRUCTURAL_EVENTS and r.timestamp_ns > cut]
     assert any(r.timestamp_ns > cut for s in streams for r in s
                if r.event not in STRUCTURAL_EVENTS)
