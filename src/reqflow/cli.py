@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import struct
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -65,6 +67,93 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+# A file's header on the writer's pipe: the lengths of its name and content.
+_FRAME = struct.Struct("<IQ")
+
+
+def _create_files(pipe: int, errors: int, out: str) -> int:
+    """The writer's loop: create each file read from pipe under out, in the
+    order sent. Returns 0 at the end of the pipe, or 1 after sending the
+    first OSError's text down errors."""
+    import signal  # here, so that no run without traces loads it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    with open(pipe, "rb") as frames:
+        while header := frames.read(_FRAME.size):
+            name_size, size = _FRAME.unpack(header)
+            path = os.path.join(out, frames.read(name_size).decode())
+            data = frames.read(size)
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+                try:
+                    _write_all(fd, data)
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                _write_all(errors, str(exc).encode())
+                return 1
+    return 0
+
+
+class _TraceWriter:
+    """Creates trace files in a child process, so that the kernel's work of
+    creating each file runs beside replay rather than inside it.
+
+    The child is forked at the first file, so a run that writes none forks
+    nothing; reconstruct starts no thread, so the fork copies no lock held
+    by another. close() waits until the child has created every file sent
+    and raises the child's OSError, as an OSError with the same text.
+    """
+
+    def __init__(self, out: Path):
+        self.out = str(out)
+        self.pid = 0
+        self.pipe = self.errors = -1
+
+    def write(self, name: str, text: str) -> None:
+        if not self.pid:
+            self._fork()
+        encoded, data = name.encode(), text.encode()
+        try:
+            _write_all(self.pipe, _FRAME.pack(len(encoded), len(data)) + encoded + data)
+        except BrokenPipeError:  # the child stopped at an error
+            self.close()
+            raise
+
+    def _fork(self) -> None:
+        pipe, self.pipe = os.pipe()
+        self.errors, errors = os.pipe()
+        self.pid = os.fork()
+        if not self.pid:
+            code = 1
+            try:
+                os.close(self.pipe)
+                os.close(self.errors)
+                code = _create_files(pipe, errors, self.out)
+            finally:
+                os._exit(code)  # never back into the parent's code
+        os.close(pipe)
+        os.close(errors)
+
+    def close(self) -> None:
+        if not self.pid:
+            return
+        os.close(self.pipe)
+        _pid, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        with open(self.errors, "rb") as errors:
+            message = errors.read().decode()
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise OSError(message or f"trace writer exited with code {code}")
+
+
 # ----------------------------------------------------------------------
 # reconstruct
 
@@ -81,21 +170,19 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         for stale in (*out.glob("trace_*.json"), *out.glob("trace_*.gantt.txt")):
             if not stale.is_dir():
                 stale.unlink()
-        # Written last, so only a run that succeeded leaves one.
+        # Written last, so only a run that succeeded leaves them.
+        (out / "summary.txt").unlink(missing_ok=True)
         (out / "diagnostics.json").unlink(missing_ok=True)
     except OSError as exc:
         return _fail(f"cannot use output directory: {exc}", 2)
     stats = ParseStats()
     rows: list[dict] = []
-
-    def write(dag: RequestDag) -> None:
-        (out / f"trace_{dag.trace_id}.json").write_text(export_json(dag))
-        if args.gantt:
-            (out / f"trace_{dag.trace_id}.gantt.txt").write_text(render_gantt(dag))
-        rows.append(summary_row(dag))
-
+    writer = _TraceWriter(out)
     try:
         with ExitStack() as stack:
+            # Every exit reaps the writer, so summary.txt and diagnostics.json
+            # follow the last trace file.
+            stack.callback(writer.close)
             handles = []
             for name in args.inputs:
                 try:
@@ -110,9 +197,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             if args.pid:
                 records = filter_records(records, args.pid)
             # Each trace is written once its last span ends, so memory holds
-            # the requests in flight and at most one batch of completed ones.
+            # the requests in flight.
             for trace_id, states in engine.replay(records):
-                write(build_trace(trace_id, states))
+                dag = build_trace(trace_id, states)
+                writer.write(f"trace_{trace_id}.json", export_json(dag))
+                if args.gantt:
+                    writer.write(f"trace_{trace_id}.gantt.txt", render_gantt(dag))
+                rows.append(summary_row(dag))
         rows.sort(key=lambda row: row["trace_id"])  # mint order
         (out / "summary.txt").write_text(render_summary(rows))
         diagnostics = {

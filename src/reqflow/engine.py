@@ -76,12 +76,6 @@ EXTERNAL_THREAD = 0
 FLAG_OPEN_AT_END = "open_at_end"
 FLAG_ENDED_BY_EXIT = "ended_by_exit"
 
-# replay() hands complete traces out this many at a time. Writing each one
-# as it completes interleaves file system calls with replay, which ran 10-15%
-# slower on a 1,500-trace capture (2-vCPU VM, CPython 3.11); batches of 64
-# recovered most of that and hold little memory.
-WRITE_BATCH = 64
-
 
 class Tcp4Tuple(NamedTuple):
     src: Endpoint
@@ -305,14 +299,13 @@ class ReplayEngine:
         """Handle every record, then finalize, yielding each trace once as
         (trace_id, ended states) when it is complete.
 
-        Traces that complete during replay come out WRITE_BATCH at a time,
-        in completion order; the traces finalize() closes follow. The engine
-        forgets each trace it yields.
+        A trace that completes during replay comes out after the record that
+        ended its last state, in completion order; the traces finalize()
+        closes follow. The engine forgets each trace it yields.
         """
-        batch = WRITE_BATCH
         for record in records:
             self.handle(record)
-            if len(self._completed) >= batch:
+            if self._completed:
                 yield from self._take_completed()
         self.finalize()
         yield from self._take_completed()

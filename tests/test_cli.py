@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from reqflow import engine as engine_module
 from reqflow import synth as synth_module
 from reqflow.cli import main
 from reqflow.dag import build_all_dags, export_json, render_gantt, render_summary, summarize
@@ -59,6 +59,12 @@ def _reconstruct(tmp_path, logs, *extra: str) -> int:
         "reconstruct", *logs, *GATEWAY_FLAGS, *USER_EVENT_FLAGS,
         "--out", str(tmp_path / "dags"), *extra,
     ])
+
+
+def _assert_no_writer_left() -> None:
+    """reconstruct reaped every process it forked."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_round_trip_synth_reconstruct_diff(tmp_path, capsys):
@@ -132,14 +138,13 @@ def test_engine_counters_match_the_golden_diagnostics(tmp_path):
         assert (out / name).read_bytes() == golden.read_bytes(), f"{name} drifted"
 
 
-@pytest.mark.parametrize("batch", [1, 64])
-def test_traces_written_during_replay_match_a_batch_build(tmp_path, capsys, monkeypatch, batch):
+def test_traces_written_during_replay_match_a_batch_build(tmp_path, capsys):
     out = tmp_path / "capture"
     assert main(["synth", "--demo", "--requests", "100", "--cpus", "2", "--seed", "6",
                  "--out", str(out)]) == 0
     logs = sorted(str(p) for p in out.glob("cpu*.log"))
-    monkeypatch.setattr(engine_module, "WRITE_BATCH", batch)
     assert _reconstruct(tmp_path, logs, "--gantt") == 0
+    _assert_no_writer_left()
     engine = ReplayEngine([Endpoint("10.1.0.2", 80)],
                           user_events=("page_fault_user", "sched_migrate_task"))
     with ExitStack() as stack:
@@ -378,11 +383,66 @@ def test_failed_trace_write_exits_1_without_diagnostics(tmp_path, capsys):
     dags = tmp_path / "dags"
     (dags / "trace_1.json").mkdir(parents=True)  # the write of trace 1 fails
     assert _reconstruct(tmp_path, logs) == 1
-    assert capsys.readouterr().err.startswith("reqflow: i/o error")
+    assert capsys.readouterr().err == (
+        f"reqflow: i/o error: [Errno 21] Is a directory: '{dags / 'trace_1.json'}'\n"
+    )
     assert not (dags / "diagnostics.json").exists()
+    assert not (dags / "summary.txt").exists()
+    _assert_no_writer_left()
 
 
-def test_empty_capture_still_writes_outputs(tmp_path, capsys):
+def _append_undecodable(log: Path) -> None:
+    log.write_bytes(log.read_bytes() + b"\xff\n")
+
+
+def _append_garbage(log: Path) -> None:
+    log.write_text(log.read_text() + "garbage\n")
+
+
+def _append_first_line(log: Path) -> None:
+    text = log.read_text()
+    log.write_text(text + text.splitlines(keepends=True)[0])  # back in time
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_append_garbage, "reqflow: parse failure"),
+    (_append_undecodable, "reqflow: cannot decode input"),
+    (_append_first_line, "reqflow: input not time ordered"),
+], ids=["strict_parse", "decode", "unsorted"])
+def test_failure_after_traces_were_written_keeps_them(tmp_path, capsys, damage, message):
+    capture = tmp_path / "capture"
+    assert main(["synth", "--demo", "--requests", "100", "--cpus", "2", "--seed", "6",
+                 "--out", str(capture)]) == 0
+    logs = sorted(capture.glob("cpu*.log"))
+    damage(logs[-1])  # read last: most traces complete before it fails
+    assert _reconstruct(tmp_path, map(str, logs), "--strict") == 1
+    assert capsys.readouterr().err.startswith(message)
+    dags = tmp_path / "dags"
+    written = list(dags.glob("trace_*.json"))
+    assert len(written) > 1
+    assert all(path.read_text().endswith("}\n") for path in written)  # none cut short
+    assert not (dags / "diagnostics.json").exists()
+    assert not (dags / "summary.txt").exists()
+    _assert_no_writer_left()
+
+
+def test_failed_run_leaves_no_summary_of_an_earlier_run(tmp_path, capsys):
+    logs = _synth(tmp_path)
+    assert _reconstruct(tmp_path, logs) == 0
+    dags = tmp_path / "dags"
+    assert (dags / "summary.txt").read_text().startswith("trace")
+    bad = tmp_path / "cpu0.log"
+    bad.write_bytes(b"\xff\n")
+    assert _reconstruct(tmp_path, [str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("reqflow: cannot decode input")
+    assert list(dags.iterdir()) == []
+
+
+def test_empty_capture_still_writes_outputs(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("a run without traces forked a writer")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     log = tmp_path / "cpu0.log"
     log.write_text("# just a comment\n")
     code = main(["reconstruct", str(log), *GATEWAY_FLAGS,
@@ -390,6 +450,7 @@ def test_empty_capture_still_writes_outputs(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "dags" / "summary.txt").read_text() == "traces 0\n"
     capsys.readouterr()
+    _assert_no_writer_left()
 
 
 def test_synth_fault_flags_write_manifest(tmp_path, capsys):

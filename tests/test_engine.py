@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from reqflow import engine as engine_module
 from reqflow.dag import (
     GANTT_MAX_INDENT,
     RequestDag,
@@ -574,8 +573,7 @@ def test_node_keeps_the_comm_its_thread_had_when_the_span_began():
     assert fork_node["comm"] == "worker"
 
 
-def test_completed_trace_is_taken_once_and_forgotten(monkeypatch):
-    monkeypatch.setattr(engine_module, "WRITE_BATCH", 1)
+def test_completed_trace_is_taken_once_and_forgotten():
     script = Script()
     script.recv(1, "gw", GW, CLIENT_1)
     script.send(1, "gw", A_TO_B, SVC_B)

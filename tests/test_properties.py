@@ -16,11 +16,9 @@ import json
 import re
 from functools import partial
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reqflow import engine as engine_module
 from reqflow.dag import build_all_dags, build_trace, export_json, validate_dag
 from reqflow.engine import ReplayEngine
 from reqflow.ingest import (
@@ -142,15 +140,13 @@ def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps)
 
     engine = _engine()
     streamed: dict[int, str] = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine_module, "WRITE_BATCH", 1)
-        for trace_id, states in engine.replay(_records(steps)):
-            assert trace_id not in streamed
-            streamed[trace_id] = export_json(build_trace(trace_id, states))
-            # a yielded trace has no state left in the engine, active or ended
-            assert not streamed.keys() & engine.states_by_trace.keys()
-            for thread in engine.threads.values():
-                assert not streamed.keys() & thread.active_by_trace().keys()
+    for trace_id, states in engine.replay(_records(steps)):
+        assert trace_id not in streamed
+        streamed[trace_id] = export_json(build_trace(trace_id, states))
+        # a yielded trace has no state left in the engine, active or ended
+        assert not streamed.keys() & engine.states_by_trace.keys()
+        for thread in engine.threads.values():
+            assert not streamed.keys() & thread.active_by_trace().keys()
     assert batch.minted_traces == engine.minted_traces
     assert sorted(streamed) == list(range(1, engine.minted_traces + 1))
     assert [streamed[trace_id] for trace_id in sorted(streamed)] == expected
