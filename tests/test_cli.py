@@ -138,9 +138,12 @@ def test_engine_counters_match_the_golden_diagnostics(tmp_path):
         assert (out / name).read_bytes() == golden.read_bytes(), f"{name} drifted"
 
 
-def test_traces_written_during_replay_match_a_batch_build(tmp_path, capsys):
+# One trace forks the writer and reaps it after a single file; 64 traces
+# send many files down the pipe while replay runs.
+@pytest.mark.parametrize("requests", [1, 64])
+def test_traces_written_during_replay_match_a_batch_build(tmp_path, capsys, requests):
     out = tmp_path / "capture"
-    assert main(["synth", "--demo", "--requests", "100", "--cpus", "2", "--seed", "6",
+    assert main(["synth", "--demo", "--requests", str(requests), "--cpus", "2", "--seed", "6",
                  "--out", str(out)]) == 0
     logs = sorted(str(p) for p in out.glob("cpu*.log"))
     assert _reconstruct(tmp_path, logs, "--gantt") == 0
@@ -152,7 +155,7 @@ def test_traces_written_during_replay_match_a_batch_build(tmp_path, capsys):
         for record in merge_streams(streams):
             engine.handle(record)
     dags = list(build_all_dags(engine.finalize()))
-    assert len(dags) == 100
+    assert len(dags) == requests
     written = tmp_path / "dags"
     for dag in dags:
         assert (written / f"trace_{dag.trace_id}.json").read_text() == export_json(dag)
