@@ -21,6 +21,13 @@ events:
   exited. Late records for its pid still land on it, until a fork reuses
   the pid.
 
+The engine holds what a later record can still read: the live threads,
+each request in flight with its sender, and the traces not yet handed out.
+An exited thread that owns no state and sends no request in flight is
+forgotten but for its comm, and a late record for its pid rebuilds it as
+it was. A socket whose exchange ended is forgotten but for its 4-tuple, so
+a later receive on it is still a response.
+
 A State is one trace living on one thread. A network state spans request
 arrival to response sent; a fork state spans the child's lifetime. Both
 accumulate per-event tallies of user-enabled events that fire on the owning
@@ -46,6 +53,7 @@ holds every trace for a caller that builds them all at once.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -119,6 +127,7 @@ class Thread:
     comm: str = ""
     in_syscall: str | None = None
     exited: bool = False
+    in_flight: int = 0  # socket entries naming this thread as the sender
     # Keyed store holds active states only; key uniqueness is enforced here.
     # Ended states move to the engine's per-trace store, so a key can recur
     # on a kept-alive connection carrying a later request.
@@ -133,8 +142,14 @@ class Thread:
 
 
 # A socket's request in flight: its sending Thread (EXTERNAL_THREAD for an
-# arrival from outside) and its direction. None once a response was sent.
+# arrival from outside) and its direction.
 InFlight = tuple[Thread | int, Tcp4Tuple]
+
+
+def _compact(key: tuple[Endpoint, Endpoint]) -> tuple[str, int, str, int]:
+    """A socket key as one flat tuple whose IPs every key shares."""
+    (src_ip, src_port), (dst_ip, dst_port) = key
+    return sys.intern(src_ip), src_port, sys.intern(dst_ip), dst_port
 
 
 def _conn_from_args(args: dict[str, str]) -> Tcp4Tuple | None:
@@ -168,9 +183,14 @@ class ReplayEngine:
         )
         if not self.gateway_endpoints:
             raise ValueError("at least one gateway endpoint is required")
-        # The latest thread of each pid, exited or not.
+        # The latest thread of each pid, unless it exited and was forgotten:
+        # then exited_comms holds its comm.
         self.threads: dict[int, Thread] = {}
-        self.sockets: dict[tuple[Endpoint, Endpoint], InFlight | None] = {}
+        self.exited_comms: dict[int, str] = {}
+        # The request in flight on each socket; finished_sockets holds the
+        # 4-tuples whose exchange ended since.
+        self.sockets: dict[tuple[Endpoint, Endpoint], InFlight] = {}
+        self.finished_sockets: set[tuple[str, int, str, int]] = set()
         self.minted_traces = 0  # trace ids minted so far, consecutive from 1
         # Ended states per trace, keyed at mint so the order is mint order;
         # a trace replay() hands out is removed.
@@ -196,11 +216,13 @@ class ReplayEngine:
     # thread pool
 
     def _thread(self, record: TraceRecord) -> Thread:
-        # Late events for an exited pid stay on its thread rather than
-        # spawning a ghost.
+        # Late events for an exited pid land on its thread, rebuilt as it
+        # was if it was forgotten, rather than on a live ghost.
         thread = self.threads.get(record.pid)
         if thread is None:
-            thread = Thread(pid=record.pid, comm=record.comm)
+            comm = self.exited_comms.pop(record.pid, None)
+            thread = Thread(pid=record.pid, comm=record.comm or comm or "",
+                            exited=comm is not None)
             self.threads[record.pid] = thread
         elif record.comm:
             thread.comm = record.comm
@@ -217,9 +239,22 @@ class ReplayEngine:
             # Late records can open states on an exited thread. Nothing
             # reaches it once superseded, so they end here as at its exit.
             self._end_owned(existing, timestamp_ns)
+        self.exited_comms.pop(pid, None)
         child = Thread(pid=pid, comm=comm)
         self.threads[pid] = child
         return child
+
+    def _forget_thread(self, thread: Thread) -> None:
+        """Keep only the comm of an exited thread that a rebuilt one equals."""
+        if (thread.exited and not thread.active_states and thread.in_syscall is None
+                and not thread.in_flight and self.threads.get(thread.pid) is thread):
+            del self.threads[thread.pid]
+            self.exited_comms[thread.pid] = sys.intern(thread.comm)
+
+    def _forget_socket(self, key: tuple[Endpoint, Endpoint]) -> None:
+        """The exchange on key is over: keep only that its 4-tuple was seen."""
+        self.sockets.pop(key, None)
+        self.finished_sockets.add(_compact(key))
 
     # ------------------------------------------------------------------
     # state lifecycle
@@ -341,13 +376,19 @@ class ReplayEngine:
                     first = state
                 else:
                     extra += 1
+        key = conn.normalized()
+        replaced = self.sockets.get(key)
         if first is None:
-            self.sockets[conn.normalized()] = (thread, conn)
+            self.sockets[key] = (thread, conn)
+            thread.in_flight += 1
         else:
-            self.sockets[conn.normalized()] = None
+            self._forget_socket(key)
             self._end_state(thread, first, record.timestamp_ns)
             if extra:
                 self.counters["multi_match_response"] += 1
+        if replaced is not None and isinstance(replaced[0], Thread):
+            replaced[0].in_flight -= 1
+            self._forget_thread(replaced[0])
 
     def _tcp_receive(self, record: TraceRecord) -> None:
         """Incoming TCP data: propagate the sender's traces or mint one."""
@@ -382,7 +423,7 @@ class ReplayEngine:
                 owner_pid=thread.pid, start_ns=record.timestamp_ns, conn=direction,
             ))
             self.sockets[key] = (EXTERNAL_THREAD, direction)
-        elif key not in self.sockets:
+        elif key not in self.sockets and _compact(key) not in self.finished_sockets:
             self.counters["receive_on_unknown_socket"] += 1
         # else: a response landing back on the requester; no state.
 
@@ -409,6 +450,7 @@ class ReplayEngine:
         self._end_owned(thread, record.timestamp_ns)
         thread.in_syscall = None
         thread.exited = True
+        self._forget_thread(thread)
 
     def _user_event(self, record: TraceRecord) -> None:
         thread = self._thread(record)

@@ -91,11 +91,14 @@ def _parse_kv(tokens: Iterable[str], line_number: int | None, line: str) -> dict
 def parse_ftrace_line(line: str, line_number: int | None = None) -> TraceRecord | None:
     """Parse one ftrace report line; return None for comments and blanks.
 
-    The header is split on its fixed columns. A line the split cannot vouch
-    for goes to _FTRACE_RE, whose verdict stands. Its greedy comm takes the
-    last header-shaped run, so the split takes the last '['. It takes any
+    The header is split on its fixed columns, unpadded as synth writes it
+    or padded with spaces as the kernel prints it: comm and pid as
+    %16s-%-7d, secs as %5lu. Only a line that fails the unpadded test pays
+    for stripping the padding. A line the split cannot vouch for goes to
+    _FTRACE_RE, whose verdict stands. Its greedy comm takes the last
+    header-shaped run, so the split takes the last '['. It takes any
     whitespace between columns and no newline, so the split gives up on
-    padding, whitespace other than one space, a newline, a missing flags
+    other padding, whitespace other than spaces, a newline, a missing flags
     column, non-ASCII text, a field too long for int() and a kprobe address
     token.
     """
@@ -107,10 +110,15 @@ def parse_ftrace_line(line: str, line_number: int | None = None) -> TraceRecord 
     secs, _, rest = rest.partition(".")
     frac, _, rest = rest.partition(": ")
     event, colon, tail = rest.partition(":")
+    if not (comm and comm[0] != "#" and not comm[0].isspace() and pid.isdigit()
+            and secs.isdigit()):
+        comm, pid, secs = comm.lstrip(" "), pid.rstrip(" "), secs.lstrip(" ")
+        if not (comm and comm[0] != "#" and not comm[0].isspace() and pid.isdigit()
+                and secs.isdigit()):
+            return _parse_ftrace_regex(line, line_number)
     if not (
         bracket > 0 and text[bracket - 1] == " " and text.isascii() and "\n" not in text
-        and comm and comm[0] != "#" and not comm[0].isspace() and pid.isdigit()
-        and cpu.isdigit() and flags and flags.isprintable() and secs.isdigit()
+        and cpu.isdigit() and flags and flags.isprintable()
         and frac.isdigit() and len(frac) in (6, 9)
         and colon and event and event.isprintable() and " " not in event
     ):

@@ -22,6 +22,16 @@ import workloads  # noqa: E402
 from reqflow.cli import main  # noqa: E402
 
 
+# What the engine holds after finalize() on each 12-request capture: one
+# state per truth span, one thread per service (fork-fanout's 36 forked
+# children have exited) and no socket.
+HELD = {
+    "chain-reuse": {"engine.states": 72, "engine.threads": 6, "engine.sockets": 0},
+    "fork-fanout": {"engine.states": 120, "engine.threads": 6, "engine.sockets": 0},
+    "tally-heavy": {"engine.states": 24, "engine.threads": 2, "engine.sockets": 0},
+}
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_pass_writes_the_files_reconstruct_writes(tmp_path, capsys, name):
     # 12 requests, as bench/selftest.py shrinks the workloads
@@ -39,5 +49,5 @@ def test_traced_pass_writes_the_files_reconstruct_writes(tmp_path, capsys, name)
     assert names == sorted(path.name for path in traced_out.iterdir())
     for name in names:
         assert (traced_out / name).read_bytes() == (cli_out / name).read_bytes(), name
-    for pool in ("engine.states", "engine.threads", "engine.sockets"):
-        assert metrics[pool] > 0, pool
+    pools = {pool: metrics[pool] for pool in ("engine.states", "engine.threads", "engine.sockets")}
+    assert pools == HELD[workload.name]

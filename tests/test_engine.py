@@ -18,7 +18,10 @@ from reqflow.engine import (
     Tcp4Tuple,
 )
 from reqflow.ingest import merge_streams
-from reqflow.records import Endpoint, TraceRecord
+from reqflow.records import TCP_SEND_PROBES, Endpoint, TraceRecord
+from reqflow.synth import ServiceSpec, TopologySpec, simulate
+
+from conftest import reconstruct
 
 GW = Endpoint("10.0.0.1", 80)
 SVC_B = Endpoint("10.0.0.2", 9000)
@@ -158,8 +161,9 @@ def test_response_send_ends_the_span():
     state = _ended(engine, 1)[0]
     assert state.end_ns == done
     assert not state.flags
-    # nothing is in flight on the socket, and it holds no thread
-    assert list(engine.sockets.values()) == [None]
+    # nothing is in flight: the socket is forgotten but for its 4-tuple
+    assert engine.sockets == {}
+    assert engine.finished_sockets == {(GW.ip, GW.port, CLIENT_1.ip, CLIENT_1.port)}
 
 
 def test_keep_alive_connection_mints_again_after_response():
@@ -388,9 +392,9 @@ def test_exit_ends_states_and_flags_only_network_spans():
     script.recv(42, "c", SVC_B, A_TO_B)  # network span on the child
     gone = script.at(42, "c", "sched_process_exit")
     engine = run(script)
-    child = engine.threads[42]
-    assert child.exited
-    assert not child.active_states
+    # the child owns nothing and sends nothing in flight: only its comm stays
+    assert 42 not in engine.threads
+    assert engine.exited_comms == {42: "c"}
     by_kind = {state.kind: state for state in _ended(engine, 42)}
     assert by_kind["fork"].end_ns == gone
     assert by_kind["fork"].flags == set()
@@ -435,6 +439,81 @@ def test_pid_reuse_after_exit_spawns_fresh_thread():
     first, second = [node for node in dag.nodes if node["owner_pid"] == 42]
     assert [first["comm"], second["comm"]] == ["c", "c2"]
     assert first["end_ns"] < second["start_ns"]
+
+
+def test_late_record_rebuilds_a_forgotten_thread_as_it_was():
+    script = Script()
+    script.at(1, "gw", "sched_process_fork", child_comm="c", child_pid=42)
+    script.at(42, "c", "sched_process_exit")
+    engine = run(script)
+    assert 42 not in engine.threads
+    assert engine.exited_comms == {42: "c"}
+    # a late record that carries no comm
+    engine.handle(TraceRecord(timestamp_ns=script.ts + 10, cpu=0, pid=42, comm="",
+                              event="sys_enter_read"))
+    late = engine.threads[42]
+    assert (late.exited, late.comm, late.in_syscall) == (True, "c", "read")
+    assert engine.exited_comms == {}
+
+
+def test_fork_reusing_a_forgotten_pid_clears_its_record():
+    script = Script()
+    script.at(1, "gw", "sched_process_fork", child_comm="c", child_pid=42)
+    script.at(42, "c", "sched_process_exit")
+    script.at(1, "gw", "sched_process_fork", child_comm="c2", child_pid=42)
+    engine = run(script)
+    assert not engine.threads[42].exited
+    assert engine.exited_comms == {}
+
+
+def test_exited_sender_stays_while_its_request_is_in_flight():
+    script = Script()
+    script.at(1, "gw", "sched_process_fork", child_comm="w", child_pid=7)
+    script.send(7, "w", A_TO_B, SVC_B)
+    script.at(7, "w", "sched_process_exit")
+    engine = run(script)
+    sender = engine.threads[7]
+    assert sender.exited
+    assert engine.sockets[(A_TO_B, SVC_B)][0] is sender
+    # the service answers: the request is no longer in flight, nor the sender kept
+    script.recv(2, "svc", SVC_B, A_TO_B)
+    script.send(2, "svc", SVC_B, A_TO_B)
+    for record in script.records[-6:]:
+        engine.handle(record)
+    assert 7 not in engine.threads
+    assert engine.exited_comms == {7: "w"}
+
+
+def test_engine_holds_the_live_threads_and_a_compact_record_of_what_ended():
+    # A forking gateway and a fresh connection per call: every request ends
+    # a child and two exchanges, and the engine keeps none of them.
+    topology = TopologySpec(
+        services=(
+            ServiceSpec(name="gw", ip="10.5.0.1", port=80, worker_model="fork_per_request",
+                        calls=("auth", "db")),
+            ServiceSpec(name="auth", ip="10.5.0.2", port=7001, worker_model="fork_per_request"),
+            ServiceSpec(name="db", ip="10.5.0.3", port=5432),
+        ),
+        gateway="gw", reuse_connections=False,
+    )
+    for requests in (25, 100):
+        streams, _truth = simulate(topology, requests, 2, seed=3)
+        engine, dags = reconstruct(streams, topology)
+        assert len(dags) == requests
+        records = [record for stream in streams for record in stream]
+        exited = {record.pid for record in records if record.event == "sched_process_exit"}
+        finished = set()
+        for record in records:
+            if record.event in TCP_SEND_PROBES:
+                src = Endpoint(record.args["saddr"], int(record.args["sport"]))
+                dst = Endpoint(record.args["daddr"], int(record.args["dport"]))
+                finished.add(tuple(value for end in sorted((src, dst)) for value in end))
+        assert len(exited) == 2 * requests
+        assert sorted(engine.threads) == sorted({record.pid for record in records} - exited)
+        assert len(engine.threads) == 3
+        assert engine.sockets == {}
+        assert set(engine.exited_comms) == exited
+        assert engine.finished_sockets == finished
 
 
 def test_trace_minted_on_a_retired_pid_is_handed_out_when_a_fork_reuses_it():

@@ -1,5 +1,6 @@
 """Property tests: arbitrary record streams replay and build without a crash,
-and handing complete traces out during replay changes no output; any text
+and neither handing complete traces out during replay nor forgetting exited
+threads and finished sockets changes any output; any text
 lines read into records or malformed-line counts; the ftrace and bpftrace
 parsers give what the code they replaced gave, but for the tails of events
 outside ARG_EVENTS, which they leave unread; a truth or topology document
@@ -150,6 +151,82 @@ def test_taking_complete_traces_hands_each_out_once_with_the_same_exports(steps)
     assert batch.minted_traces == engine.minted_traces
     assert sorted(streamed) == list(range(1, engine.minted_traces + 1))
     assert [streamed[trace_id] for trace_id in sorted(streamed)] == expected
+
+
+class _Remembering(ReplayEngine):
+    """The engine as it was before it forgot: an exited thread stays in
+    threads, and a socket whose exchange ended stays, holding None."""
+
+    def _forget_thread(self, thread):
+        pass
+
+    def _forget_socket(self, key):
+        self.sockets[key] = None
+
+
+def _fork(parent, child):
+    return (0, parent, [("sched_process_fork", {"child_pid": str(child), "child_comm": "c"})])
+
+
+def _alone_step(pid, event):
+    return (0, pid, [(event, {})])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# a late record after an exit lands on a thread that is already exited, so
+# the second exit is counted
+@example([_fork(1, 2), _alone_step(2, "sched_process_exit"), _alone_step(2, "page_fault_user"),
+          _alone_step(2, "sched_process_exit")])
+# a fork reuses the pid of an exited child, whose request in flight is
+# replaced only then: the new child keeps the pid
+@example([
+    _step(1, "read", "tcp_rcv_space_adjust", gateway, client), _fork(1, 2),
+    _step(2, "write", "tcp_send_sock_sendmsg", store, service),
+    _alone_step(2, "sched_process_exit"), _fork(1, 2),
+    _step(3, "write", "tcp_send_sock_sendmsg", service, store),
+    _alone_step(2, "page_fault_user"), _alone_step(2, "sched_process_exit"),
+    _alone_step(2, "sched_process_exit"),
+])
+# pid 1 sends a request and exits; a late arrival on it mints trace 2, which
+# the receiver of the request in flight must take from that same thread
+@example([
+    _step(1, "read", "tcp_rcv_space_adjust", gateway, client),
+    _step(1, "write", "tcp_send_sock_sendmsg", gateway, service),
+    _alone_step(1, "sched_process_exit"),
+    _step(1, "read", "tcp_rcv_space_adjust", gateway, store),
+    _step(3, "read", "tcp_rcv_space_adjust", service, gateway),
+])
+# pid 1 sends a request, exits and enters a read late; once the request is
+# replaced, the receive probe pid 1 then fires is still inside that read
+@example([
+    _step(1, "write", "tcp_send_sock_sendmsg", store, service),
+    _alone_step(1, "sched_process_exit"), _alone_step(1, "sys_enter_read"),
+    _step(2, "write", "tcp_send_sock_sendmsg", service, store),
+    (0, 1, [("tcp_rcv_space_adjust", _tuple(store, service))]),
+])
+# the response lands on the requester twice: neither is an unknown socket
+@example([
+    _step(1, "read", "tcp_rcv_space_adjust", gateway, client),
+    _step(1, "write", "tcp_send_sock_sendmsg", store, service),
+    _step(2, "read", "tcp_rcv_space_adjust", service, store),
+    _step(2, "write", "tcp_send_sock_sendmsg", service, store),
+    _step(1, "read", "tcp_rcv_space_adjust", store, service),
+    _step(1, "read", "tcp_rcv_space_adjust", store, service),
+])
+@given(STEPS)
+def test_forgetting_exited_threads_and_finished_sockets_changes_no_output(steps):
+    outputs = []
+    for engine in (_engine(), _Remembering([gateway], user_events=("page_fault_user",))):
+        handed = [
+            (engine.finalized, trace_id, export_json(build_trace(trace_id, states)))
+            for trace_id, states in engine.replay(_records(steps))
+        ]
+        # Traces come out in the same order during replay. finalize() closes
+        # the rest thread by thread, and a rebuilt thread comes last.
+        during = [trace for trace in handed if not trace[0]]
+        outputs.append((during, sorted(handed), engine.counters, engine.unattributed,
+                        engine.minted_traces))
+    assert outputs[0] == outputs[1]
 
 
 # Digit runs the header fields may hold: a non-ASCII digit the regex's \d
@@ -317,14 +394,22 @@ def _reference_parse_ftrace_line(line, line_number=None, parse_kv=_parse_kv):
 
 
 # Each column of an ftrace line as the kernel prints it, comms holding
-# dashes, spaces, ': ' and brackets among them, and then, for up to two
-# columns, a shape the regex reads another way or not at all: padding, no
-# flags, a fraction of neither width, digits that int() and the regex read
-# apart, a newline, another header in the tail, a CRLF ending.
+# dashes, spaces, ': ' and brackets among them, comm, pid and secs padded
+# (%16s-%-7d, %5lu) or not, and then, for up to two columns, a shape the
+# regex reads another way or not at all: other padding, no flags, a
+# fraction of neither width, digits that int() and the regex read apart, a
+# newline, another header in the tail, a CRLF ending.
 _DIGITS = st.text("0123456789", min_size=1, max_size=4)
 # Fields that int() and the regex may read differently
 _ODD_DIGITS = st.sampled_from(["\u0663", "\u00b2", "9" * 5000, "", "1 ", " 1", "-1", "+5", "1_0"])
 _GAPS = st.sampled_from(["  ", "\t", "", " \r"])
+
+
+def _padded(column, spec: str):
+    """A column as synth writes it, or padded by the kernel's format spec."""
+    return column.flatmap(lambda text: st.sampled_from([text, format(text, spec)]))
+
+
 _TOKENS = st.sampled_from(
     ["saddr=10.0.0.1", "sport=80", "child_pid=9", "child_comm=a b", "k=v", "k=v", "=v", "bare",
      "==>", "(tcp_sendmsg+0x0/0x50)", "(f+0x1/0x2", "[", ": ", "x-2 [001] .... 4.000000: e:",
@@ -333,12 +418,12 @@ _TOKENS = st.sampled_from(
 _COLUMNS = {  # name: (as the kernel prints it, other shapes)
     "lead": (st.just(""), st.sampled_from([" ", "  ", "\t", "#"])),
     "comm": (
-        st.sampled_from(
+        _padded(st.sampled_from(
             ["web", "redis-server", "web-7", "a b", "a: b", "a [1] b", "x-1 [0] 3.0: e:"]
-        ),
+        ), ">16"),
         st.sampled_from(["", "-", "#x", " x", "x\n"]) | st.text(max_size=5),
     ),
-    "pid": (_DIGITS, _ODD_DIGITS),
+    "pid": (_padded(_DIGITS, "<7"), _ODD_DIGITS),
     "gap1": (st.just(" "), _GAPS),
     "cpu": (_DIGITS, _ODD_DIGITS),
     "flags": (
@@ -346,7 +431,7 @@ _COLUMNS = {  # name: (as the kernel prints it, other shapes)
         st.sampled_from(["", "  ....", " a:", " x[", " ]", " 3.000000:", " .\t."]),
     ),
     "gap2": (st.just(" "), _GAPS),
-    "secs": (_DIGITS, _ODD_DIGITS),
+    "secs": (_padded(_DIGITS, ">5"), _ODD_DIGITS),
     "frac": (
         st.sampled_from([6, 9]).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n)),
         st.sampled_from(
@@ -386,6 +471,10 @@ def _ftrace_lines(draw) -> str:
 @example("x-+5 [000] .... 3.000000: sys_enter_read:")  # int() takes '+5'
 @example("x\n-1 [000] .... 3.000000: sys_enter_read:")  # the regex's '.' takes no newline
 @example("x-1 [000] .... 3.000000: sys_enter_read: a\nb")
+@example("           nginx-2066823 [001] d..1.    12.345678: sys_enter_read:")  # kernel padding
+@example("      web-1001    [000] ....     5.000000662: tcp_rcv_space_adjust: sport=1")
+@example("web- 1 [000] .... 3.000000: sys_enter_read:")  # the kernel pads no pid on the left
+@example("web-1 [000] .... 3 .000000: sys_enter_read:")  # nor secs on the right
 @given(_ftrace_lines() | FTRACE_SHAPED)
 def test_ftrace_parser_agrees_with_the_reference(line):
     assert _outcome(parse_ftrace_line, line) == _expected(_reference_parse_ftrace_line, line)
