@@ -14,7 +14,6 @@ errors and unusable truth or topology files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import struct
@@ -210,7 +209,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             "minted_traces": engine.minted_traces,
             "counters": engine.counters,
             "unattributed": engine.unattributed,
-            "parse": dataclasses.asdict(stats),
+            "parse": {"parsed": stats.parsed, "skipped": stats.skipped,
+                      "malformed": stats.malformed, "errors": stats.errors},
         }
         _write_json(out / "diagnostics.json", diagnostics)
     except MalformedLineError as exc:

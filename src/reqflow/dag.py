@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
 from .engine import EXTERNAL_THREAD, ReplayEngine, State
@@ -79,14 +78,16 @@ _DAG_TYPES = {
 _DIAGNOSTICS_TYPES = {"orphans": (list, dict), "counters": (dict, int)}
 
 
-@dataclass
 class RequestDag:
-    trace_id: int
-    root_id: str
-    nodes: list[dict]
-    edges: list[dict]
-    orphans: list[dict] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("trace_id", "root_id", "nodes", "edges", "orphans", "counters")
+
+    def __init__(
+        self, trace_id: int, root_id: str, nodes: list[dict], edges: list[dict],
+        orphans: list[dict] | None = None, counters: dict[str, int] | None = None,
+    ) -> None:
+        self.trace_id, self.root_id, self.nodes, self.edges = trace_id, root_id, nodes, edges
+        self.orphans = [] if orphans is None else orphans
+        self.counters = {} if counters is None else counters
 
     def node_by_id(self) -> dict[str, dict]:
         return {node["state_id"]: node for node in self.nodes}

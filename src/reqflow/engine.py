@@ -24,8 +24,9 @@ events:
 The engine holds what a later record can still read: the live threads,
 each request in flight with its sender, and the traces not yet handed out.
 An exited thread that owns no state and sends no request in flight is
-forgotten but for its comm, and a late record for its pid rebuilds it as
-it was. A socket whose exchange ended is forgotten but for its 4-tuple, so
+forgotten but for its comm. A late record for its pid rebuilds it as it
+was, and it is forgotten again if the record leaves it holding nothing. A
+socket whose exchange ended is forgotten but for its 4-tuple, so
 a later receive on it is still a response.
 
 A State is one trace living on one thread. A network state spans request
@@ -56,7 +57,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .records import (
@@ -94,44 +94,46 @@ class Tcp4Tuple(NamedTuple):
         return (self.src, self.dst) if self.src <= self.dst else (self.dst, self.src)
 
 
-@dataclass
 class State:
     """One trace living on one thread: for a network state from request
     arrival to response sent, for a fork state the forked child's lifetime."""
 
-    kind: str  # "network" or "fork"
-    # The pid the trace came from: the sender (EXTERNAL_THREAD for an
-    # arrival from outside), or the forking parent.
-    source_thread: int
-    trace_id: int
-    owner_pid: int
-    start_ns: int
-    conn: Tcp4Tuple | None = None  # oriented requester -> receiver; no fork has one
-    end_ns: int | None = None
-    comm: str = ""  # the owning thread's name when the state was created
-    flags: set[str] = field(default_factory=set)
-    tallies: Counter[str] = field(default_factory=Counter)
-    # The source thread's active states of this trace when this one began.
-    parents: tuple[State, ...] = field(default=(), repr=False, compare=False)
-    # Unique among one thread's active states.
-    key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "source_thread", "trace_id", "owner_pid", "start_ns", "conn",
+                 "end_ns", "comm", "flags", "tallies", "parents", "key")
 
-    def __post_init__(self) -> None:
-        socket = self.conn.normalized() if self.conn is not None else None
-        self.key = (self.kind, self.source_thread, socket, self.trace_id)
+    def __init__(
+        self, kind: str, source_thread: int, trace_id: int, owner_pid: int, start_ns: int,
+        conn: Tcp4Tuple | None = None, end_ns: int | None = None, comm: str = "",
+        parents: tuple[State, ...] = (),
+    ) -> None:
+        self.kind = kind  # "network" or "fork"
+        # The pid the trace came from: the sender (EXTERNAL_THREAD for an
+        # arrival from outside), or the forking parent.
+        self.source_thread = source_thread
+        self.trace_id, self.owner_pid, self.start_ns = trace_id, owner_pid, start_ns
+        self.conn = conn  # oriented requester -> receiver; no fork has one
+        self.end_ns = end_ns
+        self.comm = comm  # the owning thread's name when the state was created
+        self.flags: set[str] = set()
+        self.tallies: Counter[str] = Counter()
+        # The source thread's active states of this trace when this one began.
+        self.parents = parents
+        # Unique among one thread's active states.
+        socket = conn.normalized() if conn is not None else None
+        self.key = (kind, source_thread, socket, trace_id)
 
 
-@dataclass
 class Thread:
-    pid: int
-    comm: str = ""
-    in_syscall: str | None = None
-    exited: bool = False
-    in_flight: int = 0  # socket entries naming this thread as the sender
-    # Keyed store holds active states only; key uniqueness is enforced here.
-    # Ended states move to the engine's per-trace store, so a key can recur
-    # on a kept-alive connection carrying a later request.
-    active_states: dict[tuple, State] = field(default_factory=dict)
+    __slots__ = ("pid", "comm", "in_syscall", "exited", "in_flight", "active_states")
+
+    def __init__(self, pid: int, comm: str = "", exited: bool = False) -> None:
+        self.pid, self.comm, self.exited = pid, comm, exited
+        self.in_syscall: str | None = None
+        self.in_flight = 0  # socket entries naming this thread as the sender
+        # Keyed store holds active states only; key uniqueness is enforced here.
+        # Ended states move to the engine's per-trace store, so a key can recur
+        # on a kept-alive connection carrying a later request.
+        self.active_states: dict[tuple, State] = {}
 
     def active_by_trace(self) -> dict[int, tuple[State, ...]]:
         """Active states grouped by trace id, in trace id order."""
@@ -139,6 +141,10 @@ class Thread:
         for state in self.active_states.values():
             grouped.setdefault(state.trace_id, []).append(state)
         return {trace_id: tuple(grouped[trace_id]) for trace_id in sorted(grouped)}
+
+
+class _LateRecord(Exception):
+    """What ReplayEngine._thread raises, with the thread it rebuilt for a forgotten pid."""
 
 
 # A socket's request in flight: its sending Thread (EXTERNAL_THREAD for an
@@ -217,13 +223,16 @@ class ReplayEngine:
 
     def _thread(self, record: TraceRecord) -> Thread:
         # Late events for an exited pid land on its thread, rebuilt as it
-        # was if it was forgotten, rather than on a live ghost.
+        # was if it was forgotten, rather than on a live ghost. Every handler
+        # calls this first, so handle() can handle the record again.
         thread = self.threads.get(record.pid)
         if thread is None:
             comm = self.exited_comms.pop(record.pid, None)
             thread = Thread(pid=record.pid, comm=record.comm or comm or "",
                             exited=comm is not None)
             self.threads[record.pid] = thread
+            if thread.exited:
+                raise _LateRecord(thread)
         elif record.comm:
             thread.comm = record.comm
         return thread
@@ -325,8 +334,14 @@ class ReplayEngine:
         handler = self._handlers.get(record.event)
         if handler is None:
             self.counters["ignored_events"] += 1
-        else:
+            return
+        try:  # costs nothing unless raised (CPython 3.11+), so only a rebuild pays
             handler(self, record)
+        except _LateRecord as late:
+            # Handle the record on the rebuilt thread, then forget it again
+            # if it holds nothing.
+            handler(self, record)
+            self._forget_thread(late.args[0])
 
     def replay(
         self, records: Iterable[TraceRecord]

@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .records import ARG_EVENTS, FORK_EVENT, TraceRecord, ascii_decimal
@@ -183,12 +182,12 @@ def parse_bpftrace_line(line: str, line_number: int | None = None) -> TraceRecor
 _PARSERS = {"ftrace": parse_ftrace_line, "bpftrace": parse_bpftrace_line}
 
 
-@dataclass
 class ParseStats:
-    parsed: int = 0
-    skipped: int = 0
-    malformed: int = 0
-    errors: list[str] = field(default_factory=list)
+    __slots__ = ("parsed", "skipped", "malformed", "errors")
+
+    def __init__(self) -> None:
+        self.parsed = self.skipped = self.malformed = 0
+        self.errors: list[str] = []
 
     def record_error(self, exc: MalformedLineError) -> None:
         self.malformed += 1

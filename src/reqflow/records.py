@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,19 +17,24 @@ class Endpoint(NamedTuple):
         return f"{self.ip}:{self.port}"
 
 
-@dataclass(slots=True)
 class TraceRecord:
     """One normalized kernel event.
 
     timestamp_ns is monotonic integer nanoseconds.
     """
 
-    timestamp_ns: int
-    cpu: int
-    pid: int
-    comm: str
-    event: str
-    args: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("timestamp_ns", "cpu", "pid", "comm", "event", "args")
+
+    def __init__(self, timestamp_ns: int, cpu: int, pid: int, comm: str, event: str,
+                 args: dict[str, str] | None = None) -> None:
+        self.timestamp_ns, self.cpu, self.pid = timestamp_ns, cpu, pid
+        self.comm, self.event = comm, event
+        self.args = {} if args is None else args
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def ascii_decimal(text: object) -> int | None:

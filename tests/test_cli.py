@@ -456,6 +456,39 @@ def test_empty_capture_still_writes_outputs(tmp_path, capsys, monkeypatch):
     _assert_no_writer_left()
 
 
+def test_diagnostics_keep_their_bytes_on_malformed_and_skipped_lines(tmp_path, capsys):
+    # Two comments and a blank line are skipped, two lines are malformed and
+    # two parse. The parse object holds the four ParseStats counts, written
+    # as they always were.
+    log = tmp_path / "cpu0.log"
+    log.write_text(
+        "# tracer: nop\n#\n"
+        "          <idle>-0     [000] d..1.   100.000000100: sched_switch: prev_comm=swapper\n"
+        " garbage\n"
+        "           gw-7    [000] .... 100.000000200: sys_enter_read: fd=3\n"
+        "gw-7 [000] .... abc.def: sys_exit_read: ret=1\n\n"
+    )
+    assert main(["reconstruct", str(log), *GATEWAY_FLAGS, "--out", str(tmp_path / "dags")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "dags" / "diagnostics.json").read_text() == """{
+  "counters": {
+    "ignored_events": 1
+  },
+  "minted_traces": 0,
+  "parse": {
+    "errors": [
+      "unrecognized ftrace line at line 4: ' garbage'",
+      "unrecognized ftrace line at line 6: 'gw-7 [000] .... abc.def: sys_exit_read: ret=1'"
+    ],
+    "malformed": 2,
+    "parsed": 2,
+    "skipped": 3
+  },
+  "unattributed": {}
+}
+"""
+
+
 def test_synth_fault_flags_write_manifest(tmp_path, capsys):
     out = tmp_path / "capture"
     code = main(["synth", "--demo", "--requests", "2", "--seed", "6",
@@ -830,9 +863,11 @@ def test_module_entry_point_runs():
     assert "reconstruct" in result.stdout
 
 
-def test_importing_the_cli_loads_neither_openssl_nor_synth_nor_truth():
-    # reconstruct and render need none of these; synth and diff import theirs
-    heavy = ("_hashlib", "statistics", "reqflow.synth", "reqflow.truth")
+def test_importing_the_cli_loads_no_dataclasses_openssl_synth_or_truth():
+    # reconstruct and render need none of these; synth and diff import theirs.
+    # dataclasses would bring inspect, ast, dis and tokenize with it.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "_hashlib", "statistics",
+             "reqflow.synth", "reqflow.truth")
     code = f"import sys, reqflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -15,7 +15,9 @@ from reqflow.engine import (
     FLAG_ENDED_BY_EXIT,
     FLAG_OPEN_AT_END,
     ReplayEngine,
+    State,
     Tcp4Tuple,
+    Thread,
 )
 from reqflow.ingest import merge_streams
 from reqflow.records import TCP_SEND_PROBES, Endpoint, TraceRecord
@@ -420,7 +422,9 @@ def test_exited_thread_takes_late_records_but_no_second_exit():
     engine = run(script, user_events=("page_fault_user",))
     assert engine.counters["exit_unknown_pid"] == 1
     assert engine.unattributed == {"page_fault_user": 1}
-    assert engine.threads[42].exited
+    # the late record rebuilt the thread, which holds nothing after it
+    assert 42 not in engine.threads
+    assert engine.exited_comms == {42: "c"}
     (fork,) = _ended(engine, 42)
     assert not fork.tallies
 
@@ -454,6 +458,30 @@ def test_late_record_rebuilds_a_forgotten_thread_as_it_was():
     late = engine.threads[42]
     assert (late.exited, late.comm, late.in_syscall) == (True, "c", "read")
     assert engine.exited_comms == {}
+
+
+def test_states_and_threads_share_no_mutable_default():
+    first, second = (State("network", 1, 7, 2, 100, Tcp4Tuple(A_TO_B, SVC_B)) for _ in range(2))
+    first.flags.add(FLAG_OPEN_AT_END)
+    first.tallies["page_fault_user"] += 1
+    assert (second.flags, second.tallies) == (set(), {})
+    one, two = Thread(1), Thread(2)
+    one.active_states[first.key] = first
+    assert two.active_states == {}
+    assert (two.comm, two.in_syscall, two.exited, two.in_flight) == ("", None, False, 0)
+
+
+def test_state_key_is_the_same_for_equal_constructor_arguments():
+    def network(conn):
+        return State(kind="network", source_thread=1, trace_id=7, owner_pid=2,
+                     start_ns=100, conn=conn)
+
+    key = ("network", 1, (A_TO_B, SVC_B), 7)
+    assert network(Tcp4Tuple(A_TO_B, SVC_B)).key == network(Tcp4Tuple(A_TO_B, SVC_B)).key == key
+    # the socket is direction-free
+    assert network(Tcp4Tuple(SVC_B, A_TO_B)).key == key
+    fork = State(kind="fork", source_thread=1, trace_id=7, owner_pid=2, start_ns=100)
+    assert fork.key == State("fork", 1, 7, 2, 100).key == ("fork", 1, None, 7)
 
 
 def test_fork_reusing_a_forgotten_pid_clears_its_record():

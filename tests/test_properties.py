@@ -204,6 +204,15 @@ def _alone_step(pid, event):
     _step(2, "write", "tcp_send_sock_sendmsg", service, store),
     (0, 1, [("tcp_rcv_space_adjust", _tuple(store, service))]),
 ])
+# a task's last sched_switch follows its exit: a late user event rebuilds the
+# forgotten child, which is forgotten again, and a late read rebuilds it once
+# more, mints on it, and a fork reusing the pid ends that
+@example([
+    _step(1, "read", "tcp_rcv_space_adjust", gateway, client), _fork(1, 2),
+    _alone_step(2, "sched_process_exit"), _alone_step(2, "page_fault_user"),
+    _alone_step(2, "page_fault_user"), _step(2, "read", "tcp_rcv_space_adjust", gateway, store),
+    _fork(1, 2), _alone_step(2, "sched_process_exit"),
+])
 # the response lands on the requester twice: neither is an unknown socket
 @example([
     _step(1, "read", "tcp_rcv_space_adjust", gateway, client),

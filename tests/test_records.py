@@ -3,6 +3,11 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
+from reqflow.dag import RequestDag
+from reqflow.engine import State, Thread
+from reqflow.ingest import ParseStats
 from reqflow.records import (
     EXIT_EVENT,
     FORK_EVENT,
@@ -40,6 +45,41 @@ def test_structural_event_enumeration():
 def test_trace_record_defaults():
     record = TraceRecord(timestamp_ns=5, cpu=0, pid=42, comm="svc", event="x")
     assert record.args == {}
+    # each record gets its own dict
+    record.args["k"] = "v"
+    assert TraceRecord(5, 0, 42, "svc", "x").args == {}
+
+
+def test_trace_records_compare_by_value_and_stay_mutable():
+    first, second = TraceRecord(5, 0, 42, "svc", "x", {"k": "v"}), TraceRecord(5, 0, 42, "svc", "x")
+    assert first != second
+    # keyword and positional construction agree, and every field is mutable
+    second.args = {"k": "v"}
+    assert first == second == TraceRecord(timestamp_ns=5, cpu=0, pid=42, comm="svc",
+                                          event="x", args={"k": "v"})
+    second.comm = "other"
+    assert first != second
+    assert first != (5, 0, 42, "svc", "x", {"k": "v"})
+
+
+def test_parse_stats_and_dags_share_no_mutable_default():
+    first, second = ParseStats(), ParseStats()
+    first.errors.append("bad line")
+    assert (second.parsed, second.skipped, second.malformed, second.errors) == (0, 0, 0, [])
+    one, two = (RequestDag(trace_id=1, root_id="n", nodes=[], edges=[]) for _ in range(2))
+    one.orphans.append({})
+    one.counters["orphan_states"] = 1
+    assert (two.orphans, two.counters) == ([], {})
+
+
+# reconstruct makes one TraceRecord per line and one State per span: a
+# __dict__ on each would cost memory and time
+@pytest.mark.parametrize("instance", [
+    TraceRecord(5, 0, 42, "svc", "x"), ParseStats(), State("fork", 1, 1, 2, 5), Thread(2),
+    RequestDag(trace_id=1, root_id="n", nodes=[], edges=[]),
+], ids=lambda instance: type(instance).__name__)
+def test_the_classes_reconstruct_uses_hold_no_instance_dict(instance):
+    assert not hasattr(instance, "__dict__")
 
 
 def test_endpoint_is_ordered_and_prints():
