@@ -24,12 +24,10 @@ from pathlib import Path
 from .dag import (
     DagValidationError,
     RequestDag,
+    SummaryTable,
     build_trace,
     export_json,
     render_gantt,
-    render_summary,
-    summarize,
-    summary_row,
     validate_dag,
 )
 from .engine import ReplayEngine
@@ -175,7 +173,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot use output directory: {exc}", 2)
     stats = ParseStats()
-    rows: list[dict] = []
+    table = SummaryTable()
     writer = _TraceWriter(out)
     try:
         with ExitStack() as stack:
@@ -202,9 +200,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 writer.write(f"trace_{trace_id}.json", export_json(dag))
                 if args.gantt:
                     writer.write(f"trace_{trace_id}.gantt.txt", render_gantt(dag))
-                rows.append(summary_row(dag))
-        rows.sort(key=lambda row: row["trace_id"])  # mint order
-        (out / "summary.txt").write_text(render_summary(rows))
+                table.add(dag)
+        with open(out / "summary.txt", "w") as summary:
+            summary.writelines(table.lines())
         diagnostics = {
             "minted_traces": engine.minted_traces,
             "counters": engine.counters,
@@ -223,7 +221,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         return _fail(f"dag construction failed: {exc}", 1)
     except OSError as exc:
         return _fail(f"i/o error: {exc}", 1)
-    print(f"reconstructed {len(rows)} traces from {stats.parsed} records -> {out}")
+    print(f"reconstructed {len(table.trace_ids)} traces from {stats.parsed} records -> {out}")
     return 0
 
 
@@ -326,17 +324,18 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     if not args.summary and args.width < 40:
         return _fail("--width must be at least 40", 2)
-    dags = []
+    table, dags = SummaryTable(), []
+    keep = table.add if args.summary else dags.append  # a summary keeps a row of ints
     for path in _collect_dag_paths(args.dags):
         try:
-            dags.append(_load_dag(path))
+            keep(_load_dag(path))
         except _BAD_DOC as exc:
             return _fail(f"bad dag document {path}: {exc}", 1)
-    # trace_10.json sorts before trace_2.json by name; summary.txt is in id order
-    dags.sort(key=lambda dag: dag.trace_id)
     if args.summary:
-        sys.stdout.write(render_summary(summarize(dags)))
+        sys.stdout.writelines(table.lines())
         return 0
+    # trace_10.json sorts before trace_2.json by name; print in id order
+    dags.sort(key=lambda dag: dag.trace_id)
     for dag in dags:
         sys.stdout.write(render_gantt(dag, width=args.width))
     return 0

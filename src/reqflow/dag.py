@@ -22,7 +22,6 @@ against its child's kind.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from graphlib import CycleError, TopologicalSorter
 
@@ -328,57 +327,74 @@ def render_gantt(dag: RequestDag, width: int = 100) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_row(dag: RequestDag) -> dict:
-    """One trace's duration, node count and event totals."""
-    everything = dag.nodes + dag.orphans
-    span = max(n["end_ns"] for n in everything) - min(n["start_ns"] for n in everything)
-    totals: Counter[str] = Counter()
-    for node in everything:
-        totals.update(node["event_tallies"])
-    return {
-        "trace_id": dag.trace_id,
-        "span_ns": span,
-        "nodes": len(dag.nodes),
-        "event_totals": dict(sorted(totals.items())),
-    }
+class SummaryTable:
+    """Each trace's id, span and node count, and its total of each event,
+    as int columns in trace id order: an event's column holds 0 for a trace
+    without it."""
+
+    __slots__ = ("trace_ids", "spans", "node_counts", "events")
+
+    def __init__(self) -> None:
+        self.trace_ids, self.spans, self.node_counts = [], [], []
+        self.events: dict[str, list[int]] = {}
+
+    def add(self, dag: RequestDag) -> None:
+        """A row for dag, its nodes and orphans, after every row of a lower
+        or equal trace id."""
+        everything = dag.nodes + dag.orphans
+        span = max(n["end_ns"] for n in everything) - min(n["start_ns"] for n in everything)
+        ids, row, end = self.trace_ids, 0, len(self.trace_ids)
+        while row < end:  # bisect_right; a trace mostly ends after those before it
+            middle = (row + end) // 2
+            row, end = (row, middle) if dag.trace_id < ids[middle] else (middle + 1, end)
+        ids.insert(row, dag.trace_id)
+        self.spans.insert(row, span)
+        self.node_counts.insert(row, len(dag.nodes))
+        for column in self.events.values():
+            column.insert(row, 0)
+        for node in everything:
+            for event, count in node["event_tallies"].items():
+                column = self.events.get(event)
+                if column is None:
+                    column = self.events[event] = [0] * len(ids)
+                column[row] += count
+
+    def lines(self) -> Iterator[str]:
+        """The rows, then their count, span range and event totals:
+        summary.txt line by line."""
+        if not self.trace_ids:
+            yield "traces 0\n"
+            return
+        events = sorted(self.events)
+        columns = [self.trace_ids, self.spans, self.node_counts, *map(self.events.get, events)]
+        header = ["trace", "span_ns", "nodes", *events]
+        widths = [max(len(name), max(map(len, map(str, column))))
+                  for name, column in zip(header, columns)]
+
+        def line(cells: Iterable[str]) -> str:
+            return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
+
+        yield line(header)
+        for cells in zip(*columns):
+            yield line(map(str, cells))
+        spans = sorted(self.spans)
+        middle = len(spans) // 2
+        median = spans[middle] if len(spans) % 2 else (spans[middle - 1] + spans[middle]) / 2
+        yield "\n"
+        yield f"traces={len(spans)} span_ns min={spans[0]} median={median} max={spans[-1]}\n"
+        if events:
+            yield "event totals: " + " ".join(
+                f"{event}={sum(self.events[event])}" for event in events) + "\n"
 
 
-def summarize(dags: Iterable[RequestDag]) -> list[dict]:
-    """One summary_row per dag, in the given order."""
-    return [summary_row(dag) for dag in dags]
+def summarize(dags: Iterable[RequestDag]) -> SummaryTable:
+    """The summary table of dags."""
+    table = SummaryTable()
+    for dag in dags:
+        table.add(dag)
+    return table
 
 
-def render_summary(rows: list[dict]) -> str:
-    """A table of the rows, then their count, span range and event totals."""
-    if not rows:
-        return "traces 0\n"
-    totals: Counter[str] = Counter()
-    for row in rows:
-        totals.update(row["event_totals"])
-    events = sorted(totals)
-    header = ["trace", "span_ns", "nodes", *events]
-    table = [header]
-    for row in rows:
-        table.append(
-            [
-                str(row["trace_id"]),
-                str(row["span_ns"]),
-                str(row["nodes"]),
-                *(str(row["event_totals"].get(event, 0)) for event in events),
-            ]
-        )
-    widths = [max(len(line[col]) for line in table) for col in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(line)).rstrip()
-        for line in table
-    ]
-    spans = sorted(row["span_ns"] for row in rows)
-    middle = len(spans) // 2
-    median = spans[middle] if len(spans) % 2 else (spans[middle - 1] + spans[middle]) / 2
-    lines.append("")
-    lines.append(
-        f"traces={len(rows)} span_ns min={spans[0]} median={median} max={spans[-1]}"
-    )
-    if totals:
-        lines.append("event totals: " + " ".join(f"{k}={totals[k]}" for k in events))
-    return "\n".join(lines) + "\n"
+def render_summary(table: SummaryTable) -> str:
+    """The table's text, as summary.txt holds it."""
+    return "".join(table.lines())

@@ -26,8 +26,8 @@ each request in flight with its sender, and the traces not yet handed out.
 An exited thread that owns no state and sends no request in flight is
 forgotten but for its comm. A late record for its pid rebuilds it as it
 was, and it is forgotten again if the record leaves it holding nothing. A
-socket whose exchange ended is forgotten but for its 4-tuple, so
-a later receive on it is still a response.
+socket whose exchange ended is forgotten but for its 4-tuple, packed
+into one int, so a later receive on it is still a response.
 
 A State is one trace living on one thread. A network state spans request
 arrival to response sent; a fork state spans the child's lifetime. Both
@@ -152,12 +152,6 @@ class _LateRecord(Exception):
 InFlight = tuple[Thread | int, Tcp4Tuple]
 
 
-def _compact(key: tuple[Endpoint, Endpoint]) -> tuple[str, int, str, int]:
-    """A socket key as one flat tuple whose IPs every key shares."""
-    (src_ip, src_port), (dst_ip, dst_port) = key
-    return sys.intern(src_ip), src_port, sys.intern(dst_ip), dst_port
-
-
 def _conn_from_args(args: dict[str, str]) -> Tcp4Tuple | None:
     try:
         src = Endpoint(args["saddr"], int(args["sport"]))
@@ -194,9 +188,10 @@ class ReplayEngine:
         self.threads: dict[int, Thread] = {}
         self.exited_comms: dict[int, str] = {}
         # The request in flight on each socket; finished_sockets holds the
-        # 4-tuples whose exchange ended since.
+        # 4-tuples whose exchange ended since, as _compact packs them.
         self.sockets: dict[tuple[Endpoint, Endpoint], InFlight] = {}
-        self.finished_sockets: set[tuple[str, int, str, int]] = set()
+        self.finished_sockets: set[int | tuple[Endpoint, Endpoint]] = set()
+        self._ip_ids: dict[str, int] = {}
         self.minted_traces = 0  # trace ids minted so far, consecutive from 1
         # Ended states per trace, keyed at mint so the order is mint order;
         # a trace replay() hands out is removed.
@@ -260,10 +255,20 @@ class ReplayEngine:
             del self.threads[thread.pid]
             self.exited_comms[thread.pid] = sys.intern(thread.comm)
 
+    def _compact(self, key: tuple[Endpoint, Endpoint]) -> int | tuple[Endpoint, Endpoint]:
+        """A socket key as one int, each side's IP id and port in 48 bits,
+        or as itself if a port does not fit 16 bits."""
+        (ip_a, port_a), (ip_b, port_b) = key
+        if not (0 <= port_a <= 0xFFFF and 0 <= port_b <= 0xFFFF):
+            return key
+        ids = self._ip_ids
+        side_a = ids.setdefault(ip_a, len(ids)) << 16 | port_a
+        return side_a << 48 | ids.setdefault(ip_b, len(ids)) << 16 | port_b
+
     def _forget_socket(self, key: tuple[Endpoint, Endpoint]) -> None:
         """The exchange on key is over: keep only that its 4-tuple was seen."""
         self.sockets.pop(key, None)
-        self.finished_sockets.add(_compact(key))
+        self.finished_sockets.add(self._compact(key))
 
     # ------------------------------------------------------------------
     # state lifecycle
@@ -438,7 +443,7 @@ class ReplayEngine:
                 owner_pid=thread.pid, start_ns=record.timestamp_ns, conn=direction,
             ))
             self.sockets[key] = (EXTERNAL_THREAD, direction)
-        elif key not in self.sockets and _compact(key) not in self.finished_sockets:
+        elif key not in self.sockets and self._compact(key) not in self.finished_sockets:
             self.counters["receive_on_unknown_socket"] += 1
         # else: a response landing back on the requester; no state.
 

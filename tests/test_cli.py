@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
@@ -16,7 +17,7 @@ from reqflow.dag import build_all_dags, export_json, render_gantt, render_summar
 from reqflow.engine import ReplayEngine
 from reqflow.ingest import merge_streams, read_stream
 from reqflow.records import Endpoint
-from reqflow.synth import demo_topology
+from reqflow.synth import ServiceSpec, TopologySpec, demo_topology, simulate, write_streams
 
 GOLDEN = Path(__file__).parent / "golden"
 GATEWAY_FLAGS = ["--gateway", "10.1.0.2:80"]
@@ -867,8 +868,48 @@ def test_importing_the_cli_loads_no_dataclasses_openssl_synth_or_truth():
     # reconstruct and render need none of these; synth and diff import theirs.
     # dataclasses would bring inspect, ast, dis and tokenize with it.
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "_hashlib", "statistics",
-             "reqflow.synth", "reqflow.truth")
+             "array", "reqflow.synth", "reqflow.truth")
     code = f"import sys, reqflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# A forking gateway fans out to a forking service and a kept-alive one over a
+# fresh connection per call: each request leaves two exited pids and three
+# finished 4-tuples behind, and one summary row.
+FORKING_FANOUT = TopologySpec(
+    services=(
+        ServiceSpec(name="gw", ip="10.5.0.1", port=80, worker_model="fork_per_request",
+                    calls=("auth", "catalog")),
+        ServiceSpec(name="auth", ip="10.5.0.2", port=7001, worker_model="fork_per_request"),
+        ServiceSpec(name="catalog", ip="10.5.0.3", port=7002),
+    ),
+    gateway="gw", reuse_connections=False, user_event_rates={"page_fault_user": 2.0},
+)
+# Twice the growth per extra trace measured on CPython 3.11 once the summary
+# became int columns and a finished 4-tuple one int (439 bytes); with a row
+# dict per trace and a tuple per 4-tuple it was 1,540 bytes.
+MAX_PEAK_GROWTH_PER_TRACE = 880
+
+
+def test_reconstruct_peak_memory_grows_by_less_than_a_bound_per_trace(tmp_path, capsys):
+    def traced_peak(requests: int) -> int:
+        streams, _truth = simulate(FORKING_FANOUT, requests, 2, seed=5)
+        logs = write_streams(streams, tmp_path / f"capture_{requests}", "bpftrace")
+        tracemalloc.start()
+        try:
+            assert main([
+                "reconstruct", *map(str, logs), "--backend", "bpftrace",
+                "--gateway", "10.5.0.1:80", "--user-event", "page_fault_user",
+                "--out", str(tmp_path / f"dags_{requests}"),
+            ]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(5)  # what a first run loads or caches, the others share
+    requests = 100
+    growth = traced_peak(4 * requests) - traced_peak(requests)
+    assert f"reconstructed {4 * requests} traces" in capsys.readouterr().out
+    assert growth < MAX_PEAK_GROWTH_PER_TRACE * 3 * requests

@@ -333,11 +333,10 @@ def test_summary_math_matches_hand_computation():
         dag_with_span(2, 0, 250, {"page_fault_user": 5}),
         dag_with_span(3, 10, 40, {}),
     ]
-    rows = summarize(dags)
-    spans = [row["span_ns"] for row in rows]
-    assert spans == [100, 250, 30]
-    assert statistics.median(spans) == 100
-    lines = render_summary(rows).splitlines()
+    table = summarize(dags)
+    assert table.spans == [100, 250, 30]
+    assert statistics.median(table.spans) == 100
+    lines = render_summary(table).splitlines()
     assert lines == [
         "trace  span_ns  nodes  page_fault_user",
         "1      100      1      2",
@@ -355,13 +354,15 @@ def test_summary_median_of_an_even_count_is_the_mean_of_the_middle_two():
                    nodes=[_node(f"n:{t}:x", 1, "gw", 0, span, t, {})])
         for t, span in enumerate((100, 180, 30, 45), 1)
     ]
-    rows = summarize(dags)
-    assert statistics.median(row["span_ns"] for row in rows) == 72.5
-    assert "traces=4 span_ns min=30 median=72.5 max=180" in render_summary(rows)
+    table = summarize(dags)
+    assert statistics.median(table.spans) == 72.5
+    assert "traces=4 span_ns min=30 median=72.5 max=180" in render_summary(table)
     # a whole mean still prints as the float statistics.median gives
-    assert "traces=2 span_ns min=100 median=140.0 max=180" in render_summary(rows[:2])
+    first_two = render_summary(summarize(dags[:2]))
+    assert "traces=2 span_ns min=100 median=140.0 max=180" in first_two
 
 
 def test_summary_of_no_dags_reads_traces_0():
-    assert summarize([]) == []
-    assert render_summary([]) == "traces 0\n"
+    table = summarize([])
+    assert (table.trace_ids, table.spans, table.node_counts, table.events) == ([], [], [], {})
+    assert render_summary(table) == "traces 0\n"

@@ -163,9 +163,11 @@ def test_response_send_ends_the_span():
     state = _ended(engine, 1)[0]
     assert state.end_ns == done
     assert not state.flags
-    # nothing is in flight: the socket is forgotten but for its 4-tuple
+    # nothing is in flight: the socket is forgotten but for its 4-tuple, one
+    # int of each side's IP id and port
     assert engine.sockets == {}
-    assert engine.finished_sockets == {(GW.ip, GW.port, CLIENT_1.ip, CLIENT_1.port)}
+    assert engine._ip_ids == {GW.ip: 0, CLIENT_1.ip: 1}
+    assert engine.finished_sockets == {(0 << 16 | GW.port) << 48 | 1 << 16 | CLIENT_1.port}
 
 
 def test_keep_alive_connection_mints_again_after_response():
@@ -535,13 +537,14 @@ def test_engine_holds_the_live_threads_and_a_compact_record_of_what_ended():
             if record.event in TCP_SEND_PROBES:
                 src = Endpoint(record.args["saddr"], int(record.args["sport"]))
                 dst = Endpoint(record.args["daddr"], int(record.args["dport"]))
-                finished.add(tuple(value for end in sorted((src, dst)) for value in end))
+                finished.add(engine._compact(tuple(sorted((src, dst)))))
         assert len(exited) == 2 * requests
         assert sorted(engine.threads) == sorted({record.pid for record in records} - exited)
         assert len(engine.threads) == 3
         assert engine.sockets == {}
         assert set(engine.exited_comms) == exited
         assert engine.finished_sockets == finished
+        assert len(engine._ip_ids) == 4  # three services and the client
 
 
 def test_trace_minted_on_a_retired_pid_is_handed_out_when_a_fork_reuses_it():
@@ -698,3 +701,104 @@ def test_completed_trace_is_taken_once_and_forgotten():
     assert handed == [(1, False, [1, 2]), (2, True, [1])]
     assert engine.minted_traces == 2
     assert engine.states_by_trace == {}
+
+
+class _FourTupleEngine(ReplayEngine):
+    """The engine as it kept a finished socket before packing: its 4-tuple."""
+
+    def _compact(self, key):
+        (src_ip, src_port), (dst_ip, dst_port) = key
+        return src_ip, src_port, dst_ip, dst_port
+
+
+def _as_with_four_tuples(script: Script) -> ReplayEngine:
+    """The engine after replaying script, which must hand out the same traces
+    and count the same as one that keeps each finished socket's 4-tuple."""
+    outputs, engines = [], []
+    for cls in (ReplayEngine, _FourTupleEngine):
+        engine = cls(gateway_endpoints=[GW])
+        exports = [
+            export_json(build_trace(trace_id, states))
+            for trace_id, states in engine.replay(script.records)
+        ]
+        outputs.append((exports, engine.counters, engine.unattributed,
+                        engine.minted_traces, len(engine.finished_sockets)))
+        engines.append(engine)
+    assert outputs[0] == outputs[1]
+    return engines[0]
+
+
+def _call(script: Script, caller: Endpoint, callee: Endpoint) -> None:
+    """pid 1 calls pid 2 at callee from caller, and the answer lands twice."""
+    script.send(1, "gw", caller, callee)
+    script.recv(2, "svc", callee, caller)
+    script.send(2, "svc", callee, caller)  # ends the call: the socket is finished
+    script.recv(1, "gw", caller, callee)
+    script.recv(1, "gw", caller, callee)
+
+
+def test_a_port_outside_16_bits_keeps_its_4_tuple_and_counts_as_before():
+    client, caller = Endpoint(CLIENT_1.ip, 70000), Endpoint(A_TO_B.ip, -1)
+    script = Script()
+    script.recv(1, "gw", GW, client)
+    _call(script, caller, SVC_B)
+    # 70000 packed into 16 bits would spill into the IP id: 4464 is 70000 - 2**16
+    _call(script, A_TO_B, Endpoint(SVC_B.ip, 4464))
+    script.recv(1, "gw", A_TO_B, Endpoint(SVC_B.ip, 70000))  # never seen
+    script.send(1, "gw", GW, client)
+    engine = _as_with_four_tuples(script)
+    assert engine.counters["receive_on_unknown_socket"] == 1
+    packed = {key for key in engine.finished_sockets if type(key) is int}
+    assert engine.finished_sockets - packed == {(caller, SVC_B), (GW, client)}
+    assert packed == {engine._compact((A_TO_B, Endpoint(SVC_B.ip, 4464)))}
+
+
+def test_exchanges_across_many_ips_count_as_with_4_tuples():
+    script = Script()
+    callees = [Endpoint(f"10.1.{i // 200}.{i % 200}", 9000) for i in range(300)]
+    for i, callee in enumerate(callees):
+        client = Endpoint(f"198.51.{i // 200}.{i % 200}", 40000 + i)
+        script.recv(1, "gw", GW, client)
+        _call(script, Endpoint(GW.ip, 41000 + i), callee)
+        script.send(1, "gw", GW, client)
+    # each caller port once more, to a callee it never called
+    for i in range(300):
+        script.recv(1, "gw", Endpoint(GW.ip, 41000 + i), callees[(i + 1) % 300])
+    engine = _as_with_four_tuples(script)
+    assert engine.minted_traces == 300
+    assert engine.counters["receive_on_unknown_socket"] == 300
+    assert len(engine.finished_sockets) == 600
+    assert all(type(key) is int for key in engine.finished_sockets)
+    assert len(engine._ip_ids) == 601  # the gateway's, the clients' and the callees'
+
+
+def test_a_receive_on_a_4_tuple_never_seen_is_an_unknown_socket():
+    script = Script()
+    script.recv(1, "gw", GW, CLIENT_1)
+    _call(script, A_TO_B, SVC_B)
+    script.recv(1, "gw", A2_TO_B, SVC_B)  # the caller's other port
+    script.recv(1, "gw", A_TO_B, Endpoint(SVC_B.ip, 9001))  # the callee's other port
+    script.recv(2, "svc", SVC_B, A_TO_B)  # the finished call, from the callee's side
+    script.send(1, "gw", GW, CLIENT_1)
+    engine = _as_with_four_tuples(script)
+    assert engine.counters["receive_on_unknown_socket"] == 2
+    assert engine.counters["orphan_probe"] == 0
+
+
+def test_keys_with_swapped_ips_or_ports_pack_to_different_ints():
+    engine = ReplayEngine(gateway_endpoints=[GW])
+    a, b = "10.0.0.1", "10.0.0.2"
+    keys = [
+        (Endpoint(a, 1), Endpoint(b, 2)), (Endpoint(b, 1), Endpoint(a, 2)),
+        (Endpoint(a, 2), Endpoint(b, 1)), (Endpoint(b, 2), Endpoint(a, 1)),
+        (Endpoint(a, 1), Endpoint(a, 2)), (Endpoint(a, 2), Endpoint(a, 1)),
+        (Endpoint(a, 0), Endpoint(b, 0xFFFF)), (Endpoint(a, 0xFFFF), Endpoint(b, 0)),
+    ]
+    packed = [engine._compact(key) for key in keys]
+    assert all(type(value) is int for value in packed)
+    assert len(set(packed)) == len(keys)
+    assert [engine._compact(key) for key in keys] == packed  # the same ids again
+    for port in (-1, 0x10000):
+        key = (Endpoint(a, port), Endpoint(b, 1))
+        assert engine._compact(key) == key
+        assert engine._compact(key[::-1]) == key[::-1]

@@ -1,6 +1,7 @@
 """Property tests: arbitrary record streams replay and build without a crash,
 and neither handing complete traces out during replay nor forgetting exited
-threads and finished sockets changes any output; any text
+threads and finished sockets changes any output; the summary table renders
+what the row dicts it replaced rendered; any text
 lines read into records or malformed-line counts; the ftrace and bpftrace
 parsers give what the code they replaced gave, but for the tails of events
 outside ARG_EVENTS, which they leave unread; a truth or topology document
@@ -15,12 +16,21 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from functools import partial
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reqflow.dag import build_all_dags, build_trace, export_json, validate_dag
+from reqflow.dag import (
+    RequestDag,
+    build_all_dags,
+    build_trace,
+    export_json,
+    render_summary,
+    summarize,
+    validate_dag,
+)
 from reqflow.engine import ReplayEngine
 from reqflow.ingest import (
     BACKENDS,
@@ -236,6 +246,115 @@ def test_forgetting_exited_threads_and_finished_sockets_changes_no_output(steps)
         outputs.append((during, sorted(handed), engine.counters, engine.unattributed,
                         engine.minted_traces))
     assert outputs[0] == outputs[1]
+
+
+def _reference_summary_row(dag):
+    """summary_row as it read before the summary became a table of ints."""
+    everything = dag.nodes + dag.orphans
+    span = max(n["end_ns"] for n in everything) - min(n["start_ns"] for n in everything)
+    totals = Counter()
+    for node in everything:
+        totals.update(node["event_tallies"])
+    return {
+        "trace_id": dag.trace_id,
+        "span_ns": span,
+        "nodes": len(dag.nodes),
+        "event_totals": dict(sorted(totals.items())),
+    }
+
+
+def _reference_render_summary(rows):
+    """render_summary as it read before the summary became a table of ints."""
+    if not rows:
+        return "traces 0\n"
+    totals = Counter()
+    for row in rows:
+        totals.update(row["event_totals"])
+    events = sorted(totals)
+    header = ["trace", "span_ns", "nodes", *events]
+    table = [header]
+    for row in rows:
+        table.append(
+            [
+                str(row["trace_id"]),
+                str(row["span_ns"]),
+                str(row["nodes"]),
+                *(str(row["event_totals"].get(event, 0)) for event in events),
+            ]
+        )
+    widths = [max(len(line[col]) for line in table) for col in range(len(header))]
+    lines = [
+        "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(line)).rstrip()
+        for line in table
+    ]
+    spans = sorted(row["span_ns"] for row in rows)
+    middle = len(spans) // 2
+    median = spans[middle] if len(spans) % 2 else (spans[middle - 1] + spans[middle]) / 2
+    lines.append("")
+    lines.append(
+        f"traces={len(rows)} span_ns min={spans[0]} median={median} max={spans[-1]}"
+    )
+    if totals:
+        lines.append("event totals: " + " ".join(f"{k}={totals[k]}" for k in events))
+    return "\n".join(lines) + "\n"
+
+
+def _summary_node(start_ns, span_ns, tallies):
+    return {
+        "state_id": "fork:2:0", "kind": "fork", "owner_pid": 2, "comm": "w",
+        "start_ns": start_ns, "end_ns": start_ns + span_ns, "flags": [],
+        "identity": {"parent_thread": 1, "trace_id": 1}, "event_tallies": tallies,
+    }
+
+
+def _summary_doc(trace_id, nodes, orphans=()):
+    """A dag document with these nodes and orphans, which the summary alone reads."""
+    return {
+        "schema_version": "1", "trace_id": trace_id, "root": "fork:2:0",
+        "nodes": list(nodes), "edges": [],
+        "diagnostics": {"orphans": list(orphans), "counters": {}},
+    }
+
+
+def _spans_doc(trace_id, span_ns, tallies=None):
+    return _summary_doc(trace_id, [_summary_node(0, span_ns, tallies or {})])
+
+
+SUMMARY_NODE = st.builds(
+    _summary_node, st.integers(0, 10**6), st.integers(0, 10**12),
+    st.dictionaries(st.sampled_from(["page_fault_user", "sched_switch", "x"]),
+                    st.integers(0, 10**9), max_size=3),
+)
+SUMMARY_DOC = st.builds(
+    _summary_doc, st.integers(1, 6), st.lists(SUMMARY_NODE, min_size=1, max_size=3),
+    st.lists(SUMMARY_NODE, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example([])
+# odd and even counts: the median of an even count is the mean of the middle two
+@example([_spans_doc(t, span) for t, span in enumerate((100, 180, 30), 1)])
+@example([_spans_doc(t, span) for t, span in enumerate((100, 180, 30, 45), 1)])
+@example([_spans_doc(1, 100), _spans_doc(2, 180)])
+# an event only some traces tally, and one counted 0
+@example([_spans_doc(1, 5, {"page_fault_user": 3}), _spans_doc(2, 7),
+          _spans_doc(3, 9, {"sched_switch": 0, "page_fault_user": 12345})])
+# duplicate trace ids keep the order they came in, added out of id order
+@example([_spans_doc(2, 50), _spans_doc(1, 10), _spans_doc(2, 30), _spans_doc(2, 70)])
+# orphans widen the span and add their tallies, but are not nodes
+@example([_summary_doc(1, [_summary_node(10, 5, {"x": 1})],
+                       [_summary_node(0, 40, {"x": 2, "sched_switch": 1})])])
+@given(st.lists(SUMMARY_DOC, max_size=8))
+def test_the_summary_table_renders_what_the_row_dicts_rendered(docs):
+    dags = [RequestDag.from_doc(doc) for doc in docs]
+    # reconstruct and render --summary sorted the rows by trace id, stably
+    rows = sorted(map(_reference_summary_row, dags), key=lambda row: row["trace_id"])
+    expected = _reference_render_summary(rows)
+    table = summarize(dags)
+    assert render_summary(table) == expected
+    assert "".join(table.lines()) == expected  # lines() can be read again
+    assert table.trace_ids == [row["trace_id"] for row in rows]
 
 
 # Digit runs the header fields may hold: a non-ASCII digit the regex's \d
